@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +20,11 @@ import numpy as np
 from . import oscillator as osc
 from . import reduced as rd
 from . import simulate as sim
-from . import lyapunov as ly
 from . import presets as pre
-from .config import (ConfigError, SCHEMAS, parse_config_text,
+from .config import (ConfigError, parse_config_text,
                      model_from_config, integrator_from_config, manifest,
                      write_json)
-from .model import ModelParams, State4
+from .model import State4
 
 
 def _fmt(v) -> str:
@@ -200,7 +198,8 @@ def cmd_convergence(args) -> int:
     # stationary reference: long burn-in from a moderate-energy start
     ref_cfg = sim.IntegratorConfig(scheme=icfg.scheme, dt=icfg.dt, t_end=burn,
                                    record_stride=10 ** 9,
-                                   substep_cap=icfg.substep_cap)
+                                   substep_cap=icfg.substep_cap,
+                                   max_halvings=icfg.max_halvings)
     x0 = State4(*cfg["ensemble.x0"])
     ref = sim.simulate_ensemble(x0, ref_cfg, p, {}, seed=seed + 1,
                                 n_paths=n).final

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (ModelParams, State4, Jet2, jet_coord, jet_const, jet_v1,
-                    jet_v1_prime, jet_hamiltonian, jet_power, hamiltonian,
-                    generator_of_jet, carre_of_jets, v1_eval, v1_prime,
-                    v1_second)
+from .model import (REGULARIZED, ModelParams, State4, Jet2, jet_coord,
+                    jet_const, jet_v1, jet_v1_prime, jet_hamiltonian,
+                    jet_power, hamiltonian, generator_of_jet, carre_of_jets,
+                    v1_eval, v1_prime, v1_second)
 from . import oscillator as osc
 from .linear import GramForm, ForceSurrogate, build_matrices, build_gram, \
     default_gamma_tilde, g_eps_profile
@@ -97,14 +97,6 @@ def jet_cutoff(u: Jet2, profile: CutoffProfile = CUTOFF) -> Jet2:
 
 # ---------------------------------------------------------------------------
 # jets of scaled orbit functions and of the oscillator energies
-
-def jet_solution(sol: osc.CenteredSolution, x: State4) -> Jet2:
-    """Jet of u(p1, q1) for a centred orbit solution u."""
-    val, dp, dq, d2p = sol.eval_all(x.p1, x.q1)
-    if d2p is None:
-        raise ValueError("solution lacks a second-derivative profile")
-    return Jet2(value=val, d_p1=dp, d_q1=dq, d2_p1=d2p)
-
 
 def jet_free_energy(P: Jet2, Q: Jet2, k: float) -> Jet2:
     """H_f(P, Q) = P^2/2 + |Q|^(2k)/(2k) of two jet fields."""
@@ -258,6 +250,23 @@ class SolutionTables:
     gram4: Optional[GramForm] = None
     g_eps: Optional[ForceSurrogate] = None
 
+    def jets(self, x: State4) -> Dict[str, Jet2]:
+        """Jets at (p1, q1) of every orbit solution here, all read from one
+        angle lookup of the state batch (the solutions share phi's orbit)."""
+        if self.phi is None:
+            return {}
+        look = self.phi.orbit.lookup(x.p1, x.q1)
+        out = {}
+        for name in ("phi", "psi", "xi", "xi_tilde"):
+            sol = getattr(self, name)
+            if sol is not None:
+                val, dp, dq, d2p = sol.eval_all(look)
+                if d2p is None:
+                    raise ValueError(f"{name} lacks a second-derivative "
+                                     "profile")
+                out[name] = Jet2(value=val, d_p1=dp, d_q1=dq, d2_p1=d2p)
+        return out
+
 
 def build_tables(spec: TestFunctionSpec, params: ModelParams) -> SolutionTables:
     """Construct exactly the ingredients the family needs."""
@@ -288,10 +297,10 @@ def build_tables(spec: TestFunctionSpec, params: ModelParams) -> SolutionTables:
     return t
 
 
-def _jet_ptilde(x, params, phi) -> Jet2:
-    if phi is None:   # harmonic test mode: no oscillator correction
+def _jet_ptilde(x, params, sj) -> Jet2:
+    if "phi" not in sj:   # harmonic test mode: no oscillator correction
         return jet_coord("p0", x)
-    return jet_coord("p0", x) - params.alpha * jet_solution(phi, x)
+    return jet_coord("p0", x) - params.alpha * sj["phi"]
 
 
 def _jet_veff(x, params) -> Jet2:
@@ -303,28 +312,26 @@ def _jet_veff_prime(x, params) -> Jet2:
     return jet_v1_prime("q0", x, params) + params.alpha * jet_coord("q0", x)
 
 
-def _jet_tilde_h0(x, params, phi, theta) -> Jet2:
-    pt = _jet_ptilde(x, params, phi)
+def _jet_tilde_h0(x, params, pt, theta) -> Jet2:
     q0 = jet_coord("q0", x)
     return 0.5 * (pt * pt) + _jet_veff(x, params) + theta * (pt * q0)
 
 
-def _jet_h0_cutoff(x, params, tables, theta, plateau) -> Jet2:
+def _jet_h0_cutoff(x, params, sj, theta, plateau) -> Jet2:
     a, g = params.alpha, params.gamma
-    pt = _jet_ptilde(x, params, tables.phi)
-    h0 = _jet_tilde_h0(x, params, tables.phi, theta)
+    pt = _jet_ptilde(x, params, sj)
+    h0 = _jet_tilde_h0(x, params, pt, theta)
     hf0 = jet_free_energy(pt, jet_coord("q0", x), params.k)
     psi_e = jet_cutoff((1.0 / plateau) * hf0)
     f_theta = a * (g - theta) * pt + a * _jet_veff_prime(x, params)
-    corr = (a * a * (g - theta)) * jet_solution(tables.xi, x) \
-        + f_theta * jet_solution(tables.psi, x)
+    corr = (a * a * (g - theta)) * sj["xi"] + f_theta * sj["psi"]
     return h0 - corr * psi_e
 
 
-def _jet_v_klt2(x, params, tables, theta, eta_cutoff) -> Jet2:
+def _jet_v_klt2(x, params, sj, theta, eta_cutoff) -> Jet2:
     """The k < 2 coercive field, without its analytic H part."""
     a, g = params.alpha, params.gamma
-    pt = _jet_ptilde(x, params, tables.phi)
+    pt = _jet_ptilde(x, params, sj)
     q0 = jet_coord("q0", x)
     alpha_t = a * g * (a - g * theta / 4.0)
     c_t = a * theta - 2 * a * g + 0.5 * g * g * theta
@@ -333,8 +340,8 @@ def _jet_v_klt2(x, params, tables, theta, eta_cutoff) -> Jet2:
     ratio = e0 * jet_power(e1, -eta_cutoff)
     cut = jet_cutoff(ratio)
     return (theta * (pt * q0)
-            + alpha_t * jet_solution(tables.xi, x)
-            - c_t * (pt * jet_solution(tables.psi, x) * cut))
+            + alpha_t * sj["xi"]
+            - c_t * (pt * sj["psi"] * cut))
 
 
 def build_test_function(spec: TestFunctionSpec, params: ModelParams,
@@ -383,26 +390,28 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
 
     if fam == "tildeH0":
         theta = P("theta", 0.05)
-        return PlainForm(lambda x, p: _jet_tilde_h0(x, p, tables.phi, theta),
-                         name=f"tildeH0(theta={theta})")
+        return PlainForm(lambda x, p: _jet_tilde_h0(
+            x, p, _jet_ptilde(x, p, tables.jets(x)), theta),
+            name=f"tildeH0(theta={theta})")
 
     if fam == "H0_cutoff":
         theta, plateau = P("theta", 0.05), P("E", 50.0)
         return PlainForm(
-            lambda x, p: _jet_h0_cutoff(x, p, tables, theta, plateau),
+            lambda x, p: _jet_h0_cutoff(x, p, tables.jets(x), theta, plateau),
             name=f"H0_cutoff(theta={theta}, E={plateau})")
 
     if fam == "V_k2":
         theta, c, plateau = P("theta", -0.05), P("c", 0.9), P("E", 50.0)
         return PlainForm(
-            lambda x, p: (-c) * _jet_h0_cutoff(x, p, tables, theta, plateau),
+            lambda x, p: (-c) * _jet_h0_cutoff(x, p, tables.jets(x), theta,
+                                               plateau),
             name=f"V_k2(theta={theta}, c={c}, E={plateau})",
             h_coeff=1.0)
 
     if fam == "V_klt2":
         theta, eta = P("theta", 0.05), P("eta_cutoff", 2.0)
         return PlainForm(
-            lambda x, p: _jet_v_klt2(x, p, tables, theta, eta),
+            lambda x, p: _jet_v_klt2(x, p, tables.jets(x), theta, eta),
             name=f"V_klt2(theta={theta}, eta={eta})",
             h_coeff=1.0)
 
@@ -412,11 +421,12 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
         ti = params.t_hot
 
         def jet_fn(x, p):
+            sj = tables.jets(x)
             v = jet_hamiltonian(x, p) \
-                + (-c) * _jet_h0_cutoff(x, p, tables, theta, plateau)
+                + (-c) * _jet_h0_cutoff(x, p, sj, theta, plateau)
             coef = p.gamma * zeta * (zeta + 1) * ti
             return (jet_power(v, zeta + 1)
-                    - coef * (jet_power(v, zeta) * jet_solution(tables.xi_tilde, x)))
+                    - coef * (jet_power(v, zeta) * sj["xi_tilde"]))
 
         return PlainForm(jet_fn, name=f"W_tail(zeta={zeta})")
 
@@ -426,7 +436,7 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
 
         def jet_fn(x, p):
             h = jet_hamiltonian(x, p)
-            h0 = _jet_h0_cutoff(x, p, tables, theta, plateau)
+            h0 = _jet_h0_cutoff(x, p, tables.jets(x), theta, plateau)
             return jet_power(h, -zeta) * (h - (1.0 + delta) * h0)
 
         return PlainForm(jet_fn,
@@ -437,7 +447,7 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
         kap = P("kappa", 2.0 / params.k - 1.0)
         delta = P("delta", 0.05)
         base = PlainForm(
-            lambda x, p: _jet_v_klt2(x, p, tables, theta, eta),
+            lambda x, p: _jet_v_klt2(x, p, tables.jets(x), theta, eta),
             name="V_klt2", h_coeff=1.0)
         return ExpForm(base,
                        phi=lambda v: delta * v ** kap,
@@ -547,27 +557,25 @@ class ShellSpec:
 
 
 def _free_energy_state(E, u, k, orbit: Optional[osc.OrbitTable]):
-    """Map (energy, angle fraction) to (P, Q) on the free-oscillator shell."""
+    """Map (energy, angle fraction) to (P, Q) on the free-oscillator shell,
+    with the angle lookup of those states (None without an orbit)."""
     if orbit is not None:
-        P1, Q1 = orbit.state_at_fraction(u)
-        return np.sqrt(E) * P1, E ** (1 / (2 * k)) * Q1
+        look = orbit.at_angle(E / orbit.energy, u)
+        return (*look.state(), look)
     # kinetic-split parametrization (used for k <= 1, no orbit tables)
     phi = 2 * np.pi * u
     P = np.sqrt(2 * E) * np.cos(phi)
     Q = np.sign(np.sin(phi)) * (2 * k * E * np.sin(phi) ** 2) ** (1 / (2 * k))
-    return P, Q
+    return P, Q, None
 
 
 def _v1_level(target, params):
     """|q| with V1(q) = target (regularized closed form / pure power)."""
     target = np.asarray(target, dtype=float)
     k = params.k
-    if params.smoothing == REGULARIZED_NAME:
+    if params.smoothing == REGULARIZED:
         return np.sqrt(np.maximum((2 * k * target + 1.0) ** (1 / k) - 1.0, 0.0))
     return (2 * k * target) ** (1 / (2 * k))
-
-
-REGULARIZED_NAME = "regularized"
 
 
 def _center_of_mass_batch(params, r_hi, m, rng):
@@ -582,6 +590,31 @@ def _center_of_mass_batch(params, r_hi, m, rng):
     return Q + q, Q - q, p0, p1
 
 
+def _draw_batch(params: ModelParams, r_hi: float, m: int,
+                rng: np.random.Generator, shell: ShellSpec,
+                phi: Optional[osc.CenteredSolution],
+                orbit: Optional[osc.OrbitTable]) -> State4:
+    """m candidate states below r_hi, before the energy band test."""
+    k = params.k
+    e0 = np.exp(rng.uniform(math.log(shell.e0_floor), math.log(r_hi), m))
+    e1 = np.exp(rng.uniform(math.log(shell.e1_floor), math.log(r_hi), m))
+    u0, u1 = rng.uniform(0, 1, m), rng.uniform(0, 1, m)
+    pt, q0, _ = _free_energy_state(e0, u0, k, orbit)
+    p1, q1, look1 = _free_energy_state(e1, u1, k, orbit)
+    if phi is not None and shell.use_ptilde:
+        # phi = e1^a u0(angle), read on the stencil that gave (p1, q1)
+        p0 = pt + params.alpha * (look1.ratio ** phi.scaling_exponent
+                                  * look1.interp(phi.padded[0]))
+    else:
+        p0 = pt
+    if k <= 1:
+        qc0, qc1, pc0, pc1 = _center_of_mass_batch(params, r_hi, m, rng)
+        half = m // 2
+        q0[half:], q1[half:] = qc0[half:], qc1[half:]
+        p0[half:], p1[half:] = pc0[half:], pc1[half:]
+    return State4(q0=q0, q1=q1, p0=p0, p1=p1)
+
+
 def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
                  rng: np.random.Generator, shell: ShellSpec,
                  phi: Optional[osc.CenteredSolution] = None,
@@ -591,32 +624,21 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
     Oscillator energies are drawn log-uniformly and independently, which
     exercises both single-oscillator axes.  For k <= 1 half the draws instead
     put the energy into the aligned center of mass with small fast variables.
+    The damped momentum is corrected by phi at the undamped oscillator's
+    drawn angle, so no angle is inverted.
     """
-    k = params.k
-    orbit = osc.reference_orbit(k) if k > 1 else None
+    if phi is not None:
+        orbit = phi.orbit
+    else:
+        orbit = osc.reference_orbit(params.k) if params.k > 1 else None
     keep: List[np.ndarray] = []
     kept = 0
     for _ in range(max_batches):
-        m = 4 * n
-        e0 = np.exp(rng.uniform(math.log(shell.e0_floor), math.log(r_hi), m))
-        e1 = np.exp(rng.uniform(math.log(shell.e1_floor), math.log(r_hi), m))
-        u0, u1 = rng.uniform(0, 1, m), rng.uniform(0, 1, m)
-        pt, q0 = _free_energy_state(e0, u0, k, orbit)
-        p1, q1 = _free_energy_state(e1, u1, k, orbit)
-        if phi is not None and shell.use_ptilde:
-            p0 = pt + params.alpha * phi.value(p1, q1)
-        else:
-            p0 = pt
-        if k <= 1:
-            qc0, qc1, pc0, pc1 = _center_of_mass_batch(params, r_hi, m, rng)
-            half = m // 2
-            q0[half:], q1[half:] = qc0[half:], qc1[half:]
-            p0[half:], p1[half:] = pc0[half:], pc1[half:]
-        x = State4(q0=q0, q1=q1, p0=p0, p1=p1)
+        x = _draw_batch(params, r_hi, 4 * n, rng, shell, phi, orbit)
         h = hamiltonian(x, params)
         ok = (h >= r_lo) & (h <= r_hi)
         if np.any(ok):
-            keep.append(np.stack([q0[ok], q1[ok], p0[ok], p1[ok]]))
+            keep.append(np.stack([x.q0[ok], x.q1[ok], x.p0[ok], x.p1[ok]]))
             kept += int(ok.sum())
         if kept >= n:
             break
@@ -931,20 +953,6 @@ class MomentEnvelope:
                         + self.constant * (1.0 + t) ** (kap / (1 - kap)))
 
     kappa: float = 0.0
-
-
-def validate_moment_envelope(env: MomentEnvelope, times, means, sems,
-                             x0_h: float, n_sigma: float = 3.0):
-    """Compare recorded ensemble moments against the envelope.
-
-    Returns (ok, margins); margins are envelope minus (mean + n_sigma sem),
-    so every entry nonnegative means the empirical moments sit under the
-    bound at the requested confidence band.
-    """
-    times = np.asarray(times, dtype=float)
-    bound = np.array([env(x0_h, t) for t in times])
-    margins = bound - (np.asarray(means) + n_sigma * np.asarray(sems))
-    return bool(np.all(margins >= 0)), margins
 
 
 def moment_growth_bound(alpha_or_kappa: float, params: ModelParams,

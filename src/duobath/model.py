@@ -76,13 +76,6 @@ class State4:
                          np.asarray(self.p0, dtype=float),
                          np.asarray(self.p1, dtype=float)])
 
-    @classmethod
-    def from_array(cls, arr) -> "State4":
-        return cls(q0=arr[0], q1=arr[1], p0=arr[2], p1=arr[3])
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.as_array())))
-
     def copy(self) -> "State4":
         return State4(*(np.array(v, dtype=float, copy=True)
                         for v in (self.q0, self.q1, self.p0, self.p1)))
@@ -215,11 +208,6 @@ class Jet2:
                     f2 * self.d_p0 ** 2 + f1 * self.d2_p0,
                     f2 * self.d_p1 ** 2 + f1 * self.d2_p1)
 
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(np.asarray(c))) for c in (
-            self.value, self.d_q0, self.d_q1, self.d_p0, self.d_p1,
-            self.d2_p0, self.d2_p1))
-
 
 def jet_const(c) -> Jet2:
     return Jet2(value=np.asarray(c, dtype=float))
@@ -237,10 +225,6 @@ def jet_power(u: Jet2, a: float) -> Jet2:
     return u.compose(lambda v: v ** a,
                      lambda v: a * v ** (a - 1),
                      lambda v: a * (a - 1) * v ** (a - 2))
-
-
-def jet_exp(u: Jet2) -> Jet2:
-    return u.compose(np.exp, np.exp, np.exp)
 
 
 def jet_v1(name: str, x: State4, params: ModelParams) -> Jet2:

@@ -48,6 +48,79 @@ def _force(q, k):
     return -q * np.abs(q) ** (2 * k - 2) if k != 1 else -q
 
 
+ORDER = 8   # nodes in the Lagrange stencil of every orbit interpolation
+_OFFSETS = np.arange(-(ORDER // 2 - 1), ORDER // 2 + 1)   # -3 .. 4
+# 1 / prod_{b != a} (o_a - o_b): the Lagrange denominators of the stencil
+_INV_DENOM = 1.0 / np.array([np.prod([oa - ob for ob in _OFFSETS if ob != oa])
+                             for oa in _OFFSETS], dtype=float)
+
+
+def _wrap_pad(values: np.ndarray) -> np.ndarray:
+    """Periodic node profiles (..., n) extended to (..., n + ORDER), entry i
+    holding node (i + _OFFSETS[0]) mod n: every stencil is a contiguous
+    window."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    return values[..., (np.arange(n + ORDER) + _OFFSETS[0]) % n]
+
+
+def _stencil(frac, n: int):
+    """First padded index (m,) and Lagrange weights (ORDER, m) at fractions
+    of the period of a uniform grid of n nodes.  Node a weighs the products
+    of (u - o_b) over b < a and over b > a times 1 / prod_{b != a}(o_a - o_b):
+    O(ORDER) work per point and no (ORDER, m) temporaries."""
+    x = np.mod(np.asarray(frac, dtype=float).ravel(), 1.0) * n
+    base = np.floor(x)
+    u = x - base
+    w = np.empty((ORDER, len(u)))
+    w[0] = 1.0
+    for a in range(1, ORDER):
+        np.multiply(w[a - 1], u - _OFFSETS[a - 1], out=w[a])
+    acc = u - _OFFSETS[ORDER - 1]
+    for a in range(ORDER - 2, -1, -1):
+        w[a] *= acc
+        if a:
+            acc *= u - _OFFSETS[a]
+    w *= _INV_DENOM[:, None]
+    return base.astype(np.intp), w
+
+
+def _gather(padded: np.ndarray, base: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of weights times the stencil window of a wrap-padded profile."""
+    out = w[0] * np.take(padded, base)
+    for j in range(1, ORDER):
+        out += w[j] * np.take(padded[j:], base)
+    return out
+
+
+def periodic_interp(values: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Lagrange interpolation on a uniform periodic grid, stencil size ORDER."""
+    values = np.asarray(values, dtype=float)
+    base, w = _stencil(frac, len(values))
+    return _gather(_wrap_pad(values), base, w).reshape(np.shape(frac))
+
+
+@dataclass(frozen=True)
+class AngleLookup:
+    """Where a batch of states sits on an orbit: the energy ratio
+    H_f / E_orbit and the interpolation stencil of each state's angle.  One
+    lookup serves every profile tabulated on that orbit."""
+
+    orbit: "OrbitTable"
+    ratio: np.ndarray      # shaped like the states
+    base: np.ndarray       # (m,) first stencil index into wrap-padded profiles
+    weights: np.ndarray    # (ORDER, m)
+
+    def interp(self, padded: np.ndarray) -> np.ndarray:
+        """A wrap-padded profile of the orbit at the states' angles."""
+        return _gather(padded, self.base, self.weights).reshape(np.shape(self.ratio))
+
+    def state(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, Q) of the states, from the orbit by the exact energy scaling."""
+        P, Q = (self.interp(v) for v in self.orbit.padded_pq)
+        return np.sqrt(self.ratio) * P, self.ratio ** (1 / (2 * self.orbit.k)) * Q
+
+
 @dataclass
 class OrbitTable:
     """One closed orbit sampled on a uniform time grid (n divisible by 4)."""
@@ -62,20 +135,14 @@ class OrbitTable:
     _tq: np.ndarray = field(repr=False, default=None)
     _qq: np.ndarray = field(repr=False, default=None)
     _pq: np.ndarray = field(repr=False, default=None)
+    padded_pq: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.padded_pq = _wrap_pad(np.stack([self.P, self.Q]))
 
     @property
     def n(self) -> int:
         return len(self.ts)
-
-    def interp(self, values: np.ndarray, t: np.ndarray, order: int = 8) -> np.ndarray:
-        """Periodic local Lagrange interpolation of a node profile."""
-        return periodic_interp(values, np.asarray(t) / self.period, order=order)
-
-    def q_of_t(self, t):
-        return self.interp(self.Q, t)
-
-    def p_of_t(self, t):
-        return self.interp(self.P, t)
 
     def time_of(self, P, Q, newton_iters: int = 3) -> np.ndarray:
         """Invert the orbit parametrization: time in [0, period) of (P, Q).
@@ -83,7 +150,7 @@ class OrbitTable:
         (P, Q) must lie on this orbit (callers rescale first).  The quarter
         orbit is inverted through Q where dQ/dt is safely nonzero and through
         P near the turning point, then refined by Newton on the interpolated
-        orbit.
+        orbit, one stencil per step for both P and Q.
         """
         shape = np.shape(P)
         P = np.atleast_1d(np.asarray(P, dtype=float)).ravel()
@@ -91,25 +158,20 @@ class OrbitTable:
         aq, ap = np.abs(Q), np.abs(P)
         q_split = self._qq[len(self._qq) // 2]
 
-        t = np.empty_like(aq)
         use_q = aq <= q_split
-        t[use_q] = np.interp(aq[use_q], self._qq, self._tq)
         # P decreases along the quarter orbit: invert on reversed arrays
-        t[~use_q] = np.interp(-ap[~use_q], -self._pq, self._tq)
+        t = np.where(use_q, np.interp(aq, self._qq, self._tq),
+                     np.interp(-ap, -self._pq, self._tq))
 
         for _ in range(newton_iters):
-            qi = self.interp(self.Q, t)
-            pi = self.interp(self.P, t)
-            if np.any(use_q):
-                tq = t[use_q]
-                tq -= (qi[use_q] - aq[use_q]) / np.maximum(pi[use_q], 1e-300)
-                t[use_q] = np.clip(tq, 0.0, self.period / 4)
-            if np.any(~use_q):
-                tp = t[~use_q]
-                denom = _force(qi[~use_q], self.k)
-                tp -= (pi[~use_q] - ap[~use_q]) / np.where(np.abs(denom) > 1e-300,
-                                                           denom, -1e-300)
-                t[~use_q] = np.clip(tp, 0.0, self.period / 4)
+            base, w = _stencil(t / self.period, self.n)
+            pi = _gather(self.padded_pq[0], base, w)
+            qi = _gather(self.padded_pq[1], base, w)
+            denom = _force(qi, self.k)
+            step = np.where(use_q, (qi - aq) / np.maximum(pi, 1e-300),
+                            (pi - ap) / np.where(np.abs(denom) > 1e-300,
+                                                 denom, -1e-300))
+            t = np.clip(t - step, 0.0, self.period / 4)
 
         # fold the quarter time back to the full period by quadrant
         pos_q, pos_p = Q >= 0, P >= 0
@@ -119,28 +181,26 @@ class OrbitTable:
                                          self.period - t)))
         return np.mod(out, self.period).reshape(shape)
 
+    def at_angle(self, ratio, frac) -> AngleLookup:
+        """Lookup of states with energy ratio H_f / E_orbit and angle
+        `frac` (fraction of the period) known already."""
+        base, w = _stencil(frac, self.n)
+        ratio = np.broadcast_to(np.asarray(ratio, dtype=float), np.shape(frac))
+        return AngleLookup(self, ratio, base, w)
+
+    def lookup(self, P, Q) -> AngleLookup:
+        """Lookup of arbitrary states (P, Q): rescale each onto this orbit by
+        its energy, then invert its angle."""
+        P = np.asarray(P, dtype=float)
+        Q = np.asarray(Q, dtype=float)
+        E = P * P / 2 + np.abs(Q) ** (2 * self.k) / (2 * self.k)
+        s = np.maximum(E, ENERGY_FLOOR) / self.energy
+        t = self.time_of(P * s ** (-0.5), Q * s ** (-1 / (2 * self.k)))
+        return self.at_angle(s, t / self.period)
+
     def state_at_fraction(self, frac) -> tuple[np.ndarray, np.ndarray]:
         """(P, Q) at time = frac * period."""
-        t = np.asarray(frac, dtype=float) * self.period
-        return self.interp(self.P, t), self.interp(self.Q, t)
-
-
-def periodic_interp(values: np.ndarray, frac: np.ndarray, order: int = 8) -> np.ndarray:
-    """Lagrange interpolation on a uniform periodic grid, stencil size `order`."""
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    x = np.mod(np.asarray(frac, dtype=float), 1.0) * n
-    base = np.floor(x).astype(int)
-    u = x - base  # in [0, 1)
-    offsets = np.arange(-(order // 2 - 1), order // 2 + 1)  # e.g. -3..4
-    idx = np.mod(base[..., None] + offsets, n)
-    # Lagrange weights at points `offsets` evaluated at u
-    w = np.ones((*u.shape, order))
-    for a in range(order):
-        for b in range(order):
-            if a != b:
-                w[..., a] *= (u - offsets[b]) / (offsets[a] - offsets[b])
-    return np.sum(w * values[idx], axis=-1)
+        return self.at_angle(1.0, frac).state()
 
 
 def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
@@ -226,63 +286,40 @@ def k_const(k: float) -> float:
 class CenteredSolution:
     """A function u(P, Q) = H_f^a * u0(angle) solving du/dt = rhs on orbits.
 
-    Profiles are tabulated on the reference orbit (energy E_ref); evaluation
-    anywhere uses the exact scaling of the homogeneous oscillator.  The first
+    Profiles are tabulated on a reference orbit; evaluation anywhere takes an
+    angle lookup on that orbit and the exact scaling of the homogeneous
+    oscillator in the energy ratio.  The first
     derivatives come from the two independent directional derivatives known
     on the orbit (transport along the flow and the Euler scaling relation),
     so they carry no finite-difference error.
     """
 
     k: float
-    e_ref: float
     scaling_exponent: float
     orbit: OrbitTable
     angle_profile: np.ndarray          # u0 at the orbit nodes
     dP_profile: np.ndarray
     dQ_profile: np.ndarray
     d2P_profile: Optional[np.ndarray]  # present when rhs' P-derivative known
-    rhs_nodes: np.ndarray
 
-    def _lookup(self, P, Q):
-        P = np.asarray(P, dtype=float)
-        Q = np.asarray(Q, dtype=float)
-        E = P * P / 2 + np.abs(Q) ** (2 * self.k) / (2 * self.k)
-        E = np.maximum(E, ENERGY_FLOOR)
-        s = (E / self.e_ref)
-        Pr = P * s ** (-0.5)
-        Qr = Q * s ** (-1 / (2 * self.k))
-        t = self.orbit.time_of(Pr, Qr)
-        return E, t
+    padded: np.ndarray = field(init=False, repr=False)
 
-    def value(self, P, Q):
-        E, t = self._lookup(P, Q)
-        return (E / self.e_ref) ** self.scaling_exponent * self.orbit.interp(self.angle_profile, t)
+    def __post_init__(self):
+        profiles = [self.angle_profile, self.dP_profile, self.dQ_profile]
+        if self.d2P_profile is not None:
+            profiles.append(self.d2P_profile)
+        self.padded = _wrap_pad(np.stack(profiles))
 
-    def dP(self, P, Q):
-        E, t = self._lookup(P, Q)
-        return (E / self.e_ref) ** (self.scaling_exponent - 0.5) * self.orbit.interp(self.dP_profile, t)
-
-    def dQ(self, P, Q):
-        E, t = self._lookup(P, Q)
-        a = self.scaling_exponent - 1 / (2 * self.k)
-        return (E / self.e_ref) ** a * self.orbit.interp(self.dQ_profile, t)
-
-    def d2P(self, P, Q):
-        if self.d2P_profile is None:
-            raise ValueError("second-derivative profile unavailable "
-                             "(rhs P-derivative was not supplied)")
-        E, t = self._lookup(P, Q)
-        return (E / self.e_ref) ** (self.scaling_exponent - 1.0) * self.orbit.interp(self.d2P_profile, t)
-
-    def eval_all(self, P, Q):
-        """(value, dP, dQ, d2P) with one angle lookup."""
-        E, t = self._lookup(P, Q)
-        r = E / self.e_ref
-        a = self.scaling_exponent
-        val = r ** a * self.orbit.interp(self.angle_profile, t)
-        dp = r ** (a - 0.5) * self.orbit.interp(self.dP_profile, t)
-        dq = r ** (a - 1 / (2 * self.k)) * self.orbit.interp(self.dQ_profile, t)
-        d2p = (r ** (a - 1.0) * self.orbit.interp(self.d2P_profile, t)
+    def eval_all(self, look: AngleLookup):
+        """(value, dP, dQ, d2P) at the states of an angle lookup on this
+        solution's orbit; d2P is None without its profile."""
+        if look.orbit is not self.orbit:
+            raise ValueError("angle lookup was made on another orbit")
+        r, a = look.ratio, self.scaling_exponent
+        val = r ** a * look.interp(self.padded[0])
+        dp = r ** (a - 0.5) * look.interp(self.padded[1])
+        dq = r ** (a - 1 / (2 * self.k)) * look.interp(self.padded[2])
+        d2p = (r ** (a - 1.0) * look.interp(self.padded[3])
                if self.d2P_profile is not None else None)
         return val, dp, dq, d2p
 
@@ -349,10 +386,9 @@ def solve_poisson(rhs, E_ref: float, k: float, *,
         v_rhs = rhs_dP_nodes - du_dQ
         d2u, _ = _orbit_derivatives(orbit, du_dP, a - 0.5, v_rhs)
 
-    return CenteredSolution(k=k, e_ref=E_ref, scaling_exponent=a, orbit=orbit,
+    return CenteredSolution(k=k, scaling_exponent=a, orbit=orbit,
                             angle_profile=u, dP_profile=du_dP,
-                            dQ_profile=du_dQ, d2P_profile=d2u,
-                            rhs_nodes=rhs_nodes)
+                            dQ_profile=du_dQ, d2P_profile=d2u)
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +497,3 @@ def solution_to_csv(sol: CenteredSolution, path) -> None:
                        sol.angle_profile, sol.dP_profile):
             w.writerow([repr(float(v)) for v in row])
 
-
-def orbit_to_csv(orbit: OrbitTable, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "Q", "P"])
-        for row in zip(orbit.ts, orbit.Q, orbit.P):
-            w.writerow([repr(float(v)) for v in row])

@@ -9,7 +9,6 @@ contract: tests run them as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 

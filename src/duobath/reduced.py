@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Optional
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaincc
@@ -350,10 +349,3 @@ def classify_full(k: float, params: ModelParams, c_hat: float) -> RateRow:
 # energy of the undamped oscillator stays finite (k = 2); the complementary
 # claim is recorded, not verified.
 KINETIC_FINITENESS_FRACTION = 3.0 / 7.0
-
-
-def mixing_time_hint(rp: ReducedParams) -> float:
-    """Burn-in horizon used before stationary statistics are collected."""
-    if rp.sigma >= 0:
-        return 50.0 / rp.eta
-    return 200.0

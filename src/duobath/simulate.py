@@ -9,12 +9,12 @@ fixed configuration regardless of how the ensemble is batched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .model import ModelParams, State4, drift_and_noise, hamiltonian, v1_prime
+from .model import ModelParams, State4, hamiltonian, v1_prime
 
 EULER = "euler_maruyama"
 STRANG = "strang_split"
@@ -43,6 +43,12 @@ class IntegratorConfig:
             raise ValueError("record_stride must be >= 1")
         if self.scheme not in (EULER, STRANG):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.substep_cap is not None and not self.substep_cap > 0:
+            raise ValueError("substep_cap must be positive (None turns "
+                             "halving off)")
+        # the halving level is packed into 8 bits of the noise counter
+        if not 0 <= self.max_halvings <= 255:
+            raise ValueError("max_halvings must lie in [0, 255]")
 
 
 class NoiseStream:
@@ -154,7 +160,6 @@ class Ensemble:
     states: State4
     time: float
     seed: int
-    stats_cache: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -190,7 +195,7 @@ def obs_free_energy_0(params, phi=None):
     def f(s):
         p = np.asarray(s.p0, dtype=float)
         if phi is not None:
-            p = p - a * phi.value(s.p1, s.q1)
+            p = p - a * phi.eval_all(phi.orbit.lookup(s.p1, s.q1))[0]
         return p ** 2 / 2 + np.abs(s.q0) ** (2 * k) / (2 * k)
 
     return f

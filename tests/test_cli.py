@@ -151,3 +151,26 @@ class TestArtifacts:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert "no invariant measure" in rep["density"]
+
+
+class TestConvergence:
+    def test_reference_runs_keep_max_halvings(self, tmp_path, monkeypatch):
+        from duobath import simulate as sim
+        seen = []
+        real = sim.simulate_ensemble
+
+        def spy(x0, cfg, *args, **kw):
+            seen.append(cfg)
+            return real(x0, cfg, *args, **kw)
+
+        monkeypatch.setattr(sim, "simulate_ensemble", spy)
+        code, _ = run(tmp_path, "convergence",
+                      "integrator.max_halvings = 3\n"
+                      "integrator.substep_cap = 20\n"
+                      "integrator.t_end = 0.2\n"
+                      "ensemble.n_paths = 64\n"
+                      "convergence.burn_in = 0.2\n"
+                      "convergence.n_times = 2\n")
+        assert code == 0
+        assert len(seen) == 2
+        assert all(c.max_halvings == 3 and c.substep_cap == 20 for c in seen)

@@ -216,6 +216,25 @@ class TestBuiltFields:
             ly.TestFunctionSpec("W1_nonexist", {"zeta": 2.0})
 
 
+class TestSolutionJets:
+    def test_shared_lookup_equals_separate_lookups(self):
+        k = 1.5
+        tables = ly.SolutionTables(phi=osc.build_phi(k), psi=osc.build_psi(k),
+                                   xi=osc.build_xi(k))
+        rng = np.random.default_rng(3)
+        p1, q1 = rng.uniform(-20, 20, 300), rng.uniform(-5, 5, 300)
+        x = State4(q0=np.zeros(300), q1=q1, p0=np.zeros(300), p1=p1)
+        jets = tables.jets(x)
+        assert sorted(jets) == ["phi", "psi", "xi"]
+        for name, jet in jets.items():
+            sol = getattr(tables, name)
+            val, dp, dq, d2p = sol.eval_all(sol.orbit.lookup(p1, q1))
+            assert np.array_equal(jet.value, val)
+            assert np.array_equal(jet.d_p1, dp)
+            assert np.array_equal(jet.d_q1, dq)
+            assert np.array_equal(jet.d2_p1, d2p)
+
+
 class TestShellSampler:
     def test_energy_window_and_floors(self):
         shell = ly.ShellSpec(r0=1e4, e1_floor=2.0)
@@ -236,6 +255,24 @@ class TestShellSampler:
         # some states nearly all-energy-in-oscillator-1, some the opposite
         assert np.mean(e1 > 0.9e4) > 0.2
         assert np.mean(e1 < 1e3) > 0.05
+
+    def test_phi_at_sampled_angle_equals_lookup(self):
+        # the sampler reads phi at the drawn angle; inverting the angle of
+        # the drawn (p1, q1) must give the same correction
+        for k in (1.5, 2.0):
+            params = P2.with_(k=k)
+            phi = osc.build_phi(k)
+
+            def draw(use_ptilde):
+                return ly._draw_batch(params, 1e6, 4000,
+                                      np.random.default_rng(4),
+                                      ly.ShellSpec(use_ptilde=use_ptilde),
+                                      phi, phi.orbit)
+
+            x, plain = draw(True), draw(False)
+            got = (x.p0 - plain.p0) / params.alpha
+            want = phi.eval_all(phi.orbit.lookup(x.p1, x.q1))[0]
+            assert np.max(np.abs(got - want)) < 1e-10
 
 
 class TestVerify:

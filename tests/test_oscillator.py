@@ -68,11 +68,12 @@ class TestOrbit:
         k = 2.0
         t_probe = np.linspace(0.05, 0.9, 37) * osc.orbit_period(1.0, k)
         fine = osc.build_orbit(1.0, k, n=8192)
-        ref = fine.interp(fine.Q, t_probe)
+        ref = osc.periodic_interp(fine.Q, t_probe / fine.period)
         errs = []
         for n in (128, 256):
             orb = osc.build_orbit(1.0, k, n=n)
-            errs.append(np.max(np.abs(orb.interp(orb.Q, t_probe) - ref)))
+            got = osc.periodic_interp(orb.Q, t_probe / orb.period)
+            errs.append(np.max(np.abs(got - ref)))
         assert errs[1] < 0.5 * errs[0]
 
     def test_node_count_validation(self):
@@ -166,8 +167,8 @@ class TestPoisson:
         orb2 = osc.build_orbit(E2, k)
         fr = np.linspace(0.013, 0.987, 61)
         P2, Q2 = orb2.state_at_fraction(fr)
-        got = psi.value(P2, Q2)
-        want = E2 ** psi.scaling_exponent * psi.value(*ref.state_at_fraction(fr))
+        got = value(psi, P2, Q2)
+        want = E2 ** psi.scaling_exponent * value(psi, *ref.state_at_fraction(fr))
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-6
 
     def test_derivative_profiles_vs_two_orbit_fd(self):
@@ -177,15 +178,58 @@ class TestPoisson:
         orb = phi.orbit
         fr = np.linspace(0.02, 0.98, 50)
         P0, Q0 = orb.state_at_fraction(fr)
+        _, dP, dQ, d2P = phi.eval_all(orb.lookup(P0, Q0))
         h = 1e-5
-        fd_p = (phi.value(P0 + h, Q0) - phi.value(P0 - h, Q0)) / (2 * h)
-        assert np.max(np.abs(fd_p - phi.dP(P0, Q0))) < 1e-5
-        fd_q = (phi.value(P0, Q0 + h) - phi.value(P0, Q0 - h)) / (2 * h)
-        assert np.max(np.abs(fd_q - phi.dQ(P0, Q0))) < 1e-5
+        fd_p = (value(phi, P0 + h, Q0) - value(phi, P0 - h, Q0)) / (2 * h)
+        assert np.max(np.abs(fd_p - dP)) < 1e-5
+        fd_q = (value(phi, P0, Q0 + h) - value(phi, P0, Q0 - h)) / (2 * h)
+        assert np.max(np.abs(fd_q - dQ)) < 1e-5
         h2 = 1e-4
-        fd_pp = (phi.value(P0 + h2, Q0) - 2 * phi.value(P0, Q0)
-                 + phi.value(P0 - h2, Q0)) / h2 ** 2
-        assert np.max(np.abs(fd_pp - phi.d2P(P0, Q0))) < 1e-4
+        fd_pp = (value(phi, P0 + h2, Q0) - 2 * value(phi, P0, Q0)
+                 + value(phi, P0 - h2, Q0)) / h2 ** 2
+        assert np.max(np.abs(fd_pp - d2P)) < 1e-4
+
+
+def value(sol, P, Q):
+    return sol.eval_all(sol.orbit.lookup(P, Q))[0]
+
+
+def lagrange_reference(values, frac, order=8):
+    """Periodic Lagrange interpolation with the O(order^2) weight loop."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    x = np.mod(np.asarray(frac, dtype=float), 1.0) * n
+    base = np.floor(x).astype(int)
+    u = x - base
+    offsets = np.arange(-(order // 2 - 1), order // 2 + 1)
+    idx = np.mod(base[..., None] + offsets, n)
+    w = np.ones((*u.shape, order))
+    for a in range(order):
+        for b in range(order):
+            if a != b:
+                w[..., a] *= (u - offsets[b]) / (offsets[a] - offsets[b])
+    return np.sum(w * values[idx], axis=-1)
+
+
+class TestLookup:
+    def test_stencil_matches_lagrange_reference(self):
+        rng = np.random.default_rng(5)
+        n = 64
+        values = rng.standard_normal(n)
+        frac = np.concatenate([
+            rng.uniform(0.0, 1.0, 500),                # random
+            np.arange(n) / n,                          # exact nodes
+            1.0 - np.array([1e-16, 1e-12, 1e-8, 1e-4]),  # just below 1
+            rng.uniform(-3.0, 0.0, 200),               # negative
+        ])
+        got = osc.periodic_interp(values, frac)
+        assert np.max(np.abs(got - lagrange_reference(values, frac))) < 1e-14
+
+    def test_lookup_on_another_orbit_rejected(self):
+        phi = osc.build_phi(2.0)
+        other = osc.build_orbit(1.0, 2.0, n=256)
+        with pytest.raises(ValueError):
+            phi.eval_all(other.lookup(np.ones(3), np.ones(3)))
 
 
 class TestConstants:

@@ -148,6 +148,23 @@ class TestSchemes:
         assert np.all(np.isfinite(r.stats["H"]["mean"]))
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("bad", [
+        {"max_halvings": -1},
+        {"max_halvings": 256},    # level 256 & 0xFF would reuse level 0's noise
+        {"substep_cap": 0.0},     # would divide by zero
+        {"substep_cap": -5.0},    # would silently turn halving off
+    ])
+    def test_rejected(self, bad):
+        with pytest.raises(ValueError):
+            sim.IntegratorConfig(**bad)
+
+    def test_extremes_and_off_switch_accepted(self):
+        for ok in ({"max_halvings": 0}, {"max_halvings": 255},
+                   {"substep_cap": None}):
+            sim.IntegratorConfig(**ok)
+
+
 class TestHill:
     def test_pareto_oracle(self):
         rng = np.random.default_rng(0)
