@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +47,7 @@ def _prepare(args, command):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
-    threads = args.threads
-    write_json(out / "manifest.json",
-               manifest(command, cfg, seed, str(out), threads))
+    write_json(out / "manifest.json", manifest(command, cfg, seed, str(out)))
     return cfg, out, seed
 
 
@@ -138,7 +136,7 @@ def cmd_simulate(args) -> int:
                 for r in _stats_rows(series)])
     if cfg["samples.dump"]:
         _write_csv(out / "samples.csv", ["q0", "q1", "p0", "p1"],
-                   series.final.as_matrix().tolist())
+                   series.final.as_array().T.tolist())
     print(f"simulated {cfg['ensemble.n_paths']} paths to t={icfg.t_end}; "
           f"stats in {out/'stats.csv'}")
     return 0
@@ -153,21 +151,14 @@ def cmd_tails(args) -> int:
     h_of = sim.obs_energy(p)
 
     # burn in, then pool H over paths x thinned snapshots
-    ens = sim.make_ensemble(x0, n, seed)
-    q0, q1, p0, p1 = (np.array(np.atleast_1d(v), dtype=float) for v in
-                      (ens.states.q0, ens.states.q1, ens.states.p0,
-                       ens.states.p1))
-    noise = sim.NoiseStream(seed)
     n_steps = int(round(icfg.t_end / icfg.dt))
     burn_steps = int(round(cfg["tails.burn_in"] * n_steps))
     thin = max(1, cfg["tails.thin_stride"])
     chunks = []
-    for i in range(n_steps):
-        q0, q1, p0, p1 = sim.step_ensemble(q0, q1, p0, p1, i, icfg, p, noise)
-        if i >= burn_steps and (i - burn_steps) % thin == 0:
-            chunks.append(np.asarray(h_of(State4(q0, q1, p0, p1))))
-    samples = np.concatenate(chunks) if chunks else np.asarray(
-        h_of(State4(q0, q1, p0, p1)))
+    for i, s in sim.run_paths(x0, n, seed, n_steps, icfg, p):
+        if i > burn_steps and (i - 1 - burn_steps) % thin == 0:
+            chunks.append(np.asarray(h_of(s)))
+    samples = np.concatenate(chunks) if chunks else np.asarray(h_of(s))
     hill = sim.hill_estimator(samples, cfg["tails.top_fraction"])
     report = {"hill_index": hill.index, "stderr": hill.stderr,
               "n_tail": hill.n_tail, "threshold": hill.threshold,
@@ -194,39 +185,29 @@ def cmd_convergence(args) -> int:
     n = cfg["ensemble.n_paths"]
     burn = cfg["convergence.burn_in"]
     binning = cfg["convergence.binning"]
+    n_times = cfg["convergence.n_times"]
+    steps_per = (int(round(icfg.t_end / n_times / icfg.dt)) if n_times > 0
+                 else 0)
+    if steps_per < 1:
+        raise ConfigError(f"convergence.n_times = {n_times} leaves less than "
+                          f"one step of integrator.dt = {icfg.dt} between "
+                          f"points up to integrator.t_end = {icfg.t_end}")
 
     # stationary reference: long burn-in from a moderate-energy start
-    ref_cfg = sim.IntegratorConfig(scheme=icfg.scheme, dt=icfg.dt, t_end=burn,
-                                   record_stride=10 ** 9,
-                                   substep_cap=icfg.substep_cap,
-                                   max_halvings=icfg.max_halvings)
+    ref_cfg = replace(icfg, t_end=burn)
     x0 = State4(*cfg["ensemble.x0"])
     ref = sim.simulate_ensemble(x0, ref_cfg, p, {}, seed=seed + 1,
-                                n_paths=n).final
+                                n_paths=n).final.as_array().T
     ref2 = sim.simulate_ensemble(x0, ref_cfg, p, {}, seed=seed + 2,
-                                 n_paths=n).final
-    floor = sim.tv_proxy(ref.as_matrix(), ref2.as_matrix(), binning)
+                                 n_paths=n).final.as_array().T
+    floor = sim.tv_proxy(ref, ref2, binning)
 
     # point-started ensemble, TV against the reference at a ladder of times
-    n_times = cfg["convergence.n_times"]
-    dt_rec = icfg.t_end / n_times
-    cur = sim.make_ensemble(x0, n, seed)
-    q0, q1, p0, p1 = (np.array(np.atleast_1d(v), dtype=float) for v in
-                      (cur.states.q0, cur.states.q1, cur.states.p0,
-                       cur.states.p1))
-    noise = sim.NoiseStream(seed)
     ts, tvs = [], []
-    steps_per = int(round(dt_rec / icfg.dt))
-    step_idx = 0
-    for j in range(n_times):
-        for _ in range(steps_per):
-            q0, q1, p0, p1 = sim.step_ensemble(q0, q1, p0, p1, step_idx, icfg,
-                                               p, noise)
-            step_idx += 1
-        t = (j + 1) * steps_per * icfg.dt
-        m = np.stack([q0, q1, p0, p1]).T
-        ts.append(t)
-        tvs.append(sim.tv_proxy(m, ref.as_matrix(), binning))
+    for i, s in sim.run_paths(x0, n, seed, n_times * steps_per, icfg, p):
+        if i > 0 and i % steps_per == 0:
+            ts.append(i * icfg.dt)
+            tvs.append(sim.tv_proxy(s.as_array().T, ref, binning))
     _write_csv(out / "tv_series.csv", ["t", "tv_proxy"],
                list(zip(ts, tvs)))
     ts, tvs = np.asarray(ts), np.asarray(tvs)
@@ -336,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None,
                     help="master seed (default 0)")
     ap.add_argument("--out", default="runs/out", help="output directory")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("THREADS", "1")),
-                    help="worker hint, recorded in the manifest "
-                         "(computation is vectorized; results do not "
-                         "depend on it)")
     ap.add_argument("--preset", help="verification preset name "
                                      f"(one of {', '.join(pre.PRESET_NAMES)})")
     return ap

@@ -152,8 +152,7 @@ def integrator_from_config(cfg: dict) -> IntegratorConfig:
         raise ConfigError(str(e))
 
 
-def manifest(command: str, cfg: dict, seed: int, out: str,
-             threads: int) -> dict:
+def manifest(command: str, cfg: dict, seed: int, out: str) -> dict:
     import numpy
     import scipy
 
@@ -165,7 +164,6 @@ def manifest(command: str, cfg: dict, seed: int, out: str,
                    for k, v in sorted(cfg.items())},
         "seed": seed,
         "out": out,
-        "threads": threads,
         "versions": {
             "duobath": __version__,
             "numpy": numpy.__version__,

@@ -76,10 +76,6 @@ class State4:
                          np.asarray(self.p0, dtype=float),
                          np.asarray(self.p1, dtype=float)])
 
-    def copy(self) -> "State4":
-        return State4(*(np.array(v, dtype=float, copy=True)
-                        for v in (self.q0, self.q1, self.p0, self.p1)))
-
 
 # ---------------------------------------------------------------------------
 # potential

@@ -2,15 +2,18 @@
 estimation and decay-family fits.
 
 Reproducibility contract: all noise comes from counter-based streams keyed on
-(master seed, step, substep, group), so a run is bitwise deterministic for a
-fixed configuration regardless of how the ensemble is batched.
+(master seed, step, substep, halving level), so a run is bitwise reproducible
+for a fixed seed, n_paths and integrator configuration.  Each halving level
+draws one block for all of its paths, so the noise a path sees depends on
+n_paths and on which other paths share its level: the same path in a larger
+ensemble follows a different trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -124,7 +127,8 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
     """Advance every path by cfg.dt, locally halving dt where forces are stiff.
 
     Paths are grouped by their halving level; each group consumes its own
-    noise blocks so the draws a path sees depend only on (seed, step, level)."""
+    noise blocks, so the draws a path sees depend on (seed, step, level) and
+    on its position among the paths at that level."""
     m = _halvings_needed(q0, q1, params, cfg)
     core = _strang_core if cfg.scheme == STRANG else _euler_core
     nd = _required_draws(cfg.scheme)
@@ -141,39 +145,27 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
     return out
 
 
-def step(x: State4, cfg: IntegratorConfig, params: ModelParams,
-         noise: NoiseStream, step_index: int = 0) -> State4:
-    """Single-state wrapper around the ensemble step."""
-    q0, q1, p0, p1 = (np.atleast_1d(np.asarray(v, dtype=float))
-                      for v in (x.q0, x.q1, x.p0, x.p1))
-    r = step_ensemble(q0, q1, p0, p1, step_index, cfg, params, noise)
-    if not all(np.all(np.isfinite(v)) for v in r):
-        raise IntegrationError("state became non-finite",
-                               time=(step_index + 1) * cfg.dt)
-    if np.ndim(x.q0) == 0:
-        return State4(*(float(v[0]) for v in r))
-    return State4(*r)
+def run_paths(x0: State4, n_paths: int, seed: int, n_steps: int,
+              cfg: IntegratorConfig, params: ModelParams
+              ) -> Iterator[Tuple[int, State4]]:
+    """Step n_paths copies of x0 through n_steps steps of cfg.dt.
 
-
-@dataclass
-class Ensemble:
-    states: State4
-    time: float
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return len(np.atleast_1d(self.states.q0))
-
-    def as_matrix(self) -> np.ndarray:
-        return self.states.as_array().T  # (n, 4)
-
-
-def make_ensemble(x0: State4, n_paths: int, seed: int) -> Ensemble:
-    tile = lambda v: np.full(n_paths, float(v))
-    return Ensemble(states=State4(tile(x0.q0), tile(x0.q1),
-                                  tile(x0.p0), tile(x0.p1)),
-                    time=0.0, seed=seed)
+    Yields (steps_done, state) at the start and after every step; the yielded
+    arrays are never written to afterwards.  Raises IntegrationError at the
+    first step that leaves any path non-finite."""
+    noise = NoiseStream(seed)
+    q0, q1, p0, p1 = (np.full(n_paths, float(v))
+                      for v in (x0.q0, x0.q1, x0.p0, x0.p1))
+    yield 0, State4(q0, q1, p0, p1)
+    for i in range(n_steps):
+        q0, q1, p0, p1 = step_ensemble(q0, q1, p0, p1, i, cfg, params, noise)
+        ok = np.isfinite(q0) & np.isfinite(q1) & np.isfinite(p0) \
+            & np.isfinite(p1)
+        if not ok.all():
+            t, path = (i + 1) * cfg.dt, int(np.flatnonzero(~ok)[0])
+            raise IntegrationError(f"non-finite state in ensemble at t={t:g}, "
+                                   f"path {path}", time=t, path=path)
+        yield i + 1, State4(q0, q1, p0, p1)
 
 
 # observables -----------------------------------------------------------------
@@ -216,48 +208,22 @@ DEFAULT_QUANTILES = (0.05, 0.5, 0.95)
 class EnsembleSeries:
     times: np.ndarray
     stats: Dict[str, Dict[str, np.ndarray]]   # name -> {mean, q05, q50, q95, sem}
-    final: Ensemble
+    final: State4
 
 
-def simulate_ensemble(start, cfg: IntegratorConfig, params: ModelParams,
-                      observables: Dict[str, Callable], *,
-                      seed: Optional[int] = None,
-                      n_paths: Optional[int] = None) -> EnsembleSeries:
-    """Evolve an ensemble and record observable statistics every
-    record_stride steps.  `start` is a State4 (with n_paths) or an Ensemble."""
-    if isinstance(start, Ensemble):
-        ens = Ensemble(states=start.states.copy(), time=start.time,
-                       seed=seed if seed is not None else start.seed)
-    else:
-        if n_paths is None or seed is None:
-            raise ValueError("n_paths and seed are required with a State4 start")
-        ens = make_ensemble(start, n_paths, seed)
-    noise = NoiseStream(ens.seed)
+def simulate_ensemble(x0: State4, cfg: IntegratorConfig, params: ModelParams,
+                      observables: Dict[str, Callable], *, seed: int,
+                      n_paths: int) -> EnsembleSeries:
+    """Evolve n_paths copies of x0 and record observable statistics every
+    record_stride steps and at the end."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    q0, q1, p0, p1 = (np.array(np.atleast_1d(v), dtype=float) for v in
-                      (ens.states.q0, ens.states.q1, ens.states.p0, ens.states.p1))
-
     rec_t = []
     rec = {name: [] for name in observables}
-
-    def record(t):
-        s = State4(q0, q1, p0, p1)
-        rec_t.append(t)
-        for name, f in observables.items():
-            rec[name].append(np.asarray(f(s), dtype=float))
-
-    record(ens.time)
-    for i in range(n_steps):
-        q0, q1, p0, p1 = step_ensemble(q0, q1, p0, p1, i, cfg, params, noise)
-        if not np.all(np.isfinite(p0)) or not np.all(np.isfinite(q0)) \
-                or not np.all(np.isfinite(p1)) or not np.all(np.isfinite(q1)):
-            bad = np.where(~(np.isfinite(q0) & np.isfinite(q1)
-                             & np.isfinite(p0) & np.isfinite(p1)))[0]
-            raise IntegrationError("non-finite state in ensemble",
-                                   time=ens.time + (i + 1) * cfg.dt,
-                                   path=int(bad[0]))
-        if (i + 1) % cfg.record_stride == 0 or i == n_steps - 1:
-            record(ens.time + (i + 1) * cfg.dt)
+    for i, s in run_paths(x0, n_paths, seed, n_steps, cfg, params):
+        if i % cfg.record_stride == 0 or i == n_steps:
+            rec_t.append(i * cfg.dt)
+            for name, f in observables.items():
+                rec[name].append(np.asarray(f(s), dtype=float))
 
     stats = {}
     for name, rows in rec.items():
@@ -271,9 +237,7 @@ def simulate_ensemble(start, cfg: IntegratorConfig, params: ModelParams,
             "q05": qs[0], "q50": qs[1], "q95": qs[2],
             "sem": sem,
         }
-    final = Ensemble(states=State4(q0, q1, p0, p1),
-                     time=ens.time + n_steps * cfg.dt, seed=ens.seed)
-    return EnsembleSeries(times=np.asarray(rec_t), stats=stats, final=final)
+    return EnsembleSeries(times=np.asarray(rec_t), stats=stats, final=s)
 
 
 # tail index ------------------------------------------------------------------

@@ -223,23 +223,16 @@ class TestAcceptance:
         cfg = sim.IntegratorConfig(scheme="strang_split", dt=0.005,
                                    t_end=0.0, record_stride=10 ** 9,
                                    substep_cap=50.0)
-        n_paths = 4096
-        ens = sim.make_ensemble(State4(1.0, -1.0, 0.5, 0.5), n_paths, seed=7)
-        q0, q1, p0, p1 = (np.array(np.atleast_1d(v)) for v in
-                          (ens.states.q0, ens.states.q1, ens.states.p0,
-                           ens.states.p1))
-        noise = sim.NoiseStream(7)
         h_of = sim.obs_energy(p)
         burn_steps = int(round(1000.0 / cfg.dt))
         gap_steps = int(round(25.0 / cfg.dt))
         n_snap = 80
         chunks = []
         total = burn_steps + n_snap * gap_steps
-        for i in range(total):
-            q0, q1, p0, p1 = sim.step_ensemble(q0, q1, p0, p1, i, cfg, p,
-                                               noise)
-            if i >= burn_steps and (i - burn_steps + 1) % gap_steps == 0:
-                chunks.append(np.asarray(h_of(State4(q0, q1, p0, p1))))
+        for i, s in sim.run_paths(State4(1.0, -1.0, 0.5, 0.5), 4096, 7,
+                                  total, cfg, p):
+            if i > burn_steps and (i - burn_steps) % gap_steps == 0:
+                chunks.append(np.asarray(h_of(s)))
         samples = np.concatenate(chunks)
         hill = sim.hill_estimator(samples, 0.01)
         ok = abs(hill.index - zs) <= 0.3 * zs

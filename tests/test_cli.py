@@ -57,6 +57,24 @@ class TestExitCodes:
         assert abs(rep["c_hat"] - 0.6354699) < 1e-6
         assert abs(rep["zeta_star"] - 0.8386748) < 1e-6
 
+    def test_threads_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "constants", extra=["--threads", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_tails_run_is_exit_1_naming_time_and_path(
+            self, tmp_path, capsys):
+        code, out = run(tmp_path, "tails",
+                        "model.k = 3\nmodel.t_hot = 20\n"
+                        "integrator.dt = 0.2\nintegrator.max_halvings = 0\n"
+                        "integrator.t_end = 4\nensemble.n_paths = 64\n"
+                        "tails.burn_in = 0\ntails.thin_stride = 1\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "non-finite state in ensemble at t=" in err and "path " in err
+        assert not (out / "report.json").exists()
+
     def test_bad_config_is_exit_1(self, tmp_path):
         code, _ = run(tmp_path, "constants", "nope.key = 2\n")
         assert code == 1
@@ -93,6 +111,7 @@ class TestArtifacts:
         assert man["config"]["model.t_hot"] == 0.4
         assert man["seed"] == 7
         assert "numpy" in man["versions"]
+        assert "threads" not in man
 
     def test_phase_diagram_regimes_and_roundtrip(self, tmp_path):
         from duobath.oscillator import c_hat
@@ -174,3 +193,11 @@ class TestConvergence:
         assert code == 0
         assert len(seen) == 2
         assert all(c.max_halvings == 3 and c.substep_cap == 20 for c in seen)
+
+    def test_fewer_steps_than_points_is_exit_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, "convergence",
+                        "integrator.dt = 0.01\nintegrator.t_end = 0.1\n"
+                        "convergence.n_times = 24\n")
+        assert code == 1
+        assert "convergence.n_times" in capsys.readouterr().err
+        assert not (out / "tv_series.csv").exists()

@@ -21,14 +21,13 @@ class TestDeterminism:
         b = sim.simulate_ensemble(X0, cfg, P2, {"H": sim.obs_energy(P2)},
                                   seed=7, n_paths=64)
         assert np.array_equal(a.stats["H"]["mean"], b.stats["H"]["mean"])
-        assert np.array_equal(a.final.states.p1, b.final.states.p1)
+        assert np.array_equal(a.final.p1, b.final.p1)
 
     def test_single_state_step(self):
         cfg = sim.IntegratorConfig(dt=0.01, t_end=1.0)
-        noise = sim.NoiseStream(3)
-        x1 = sim.step(X0, cfg, P2, noise, step_index=0)
-        x2 = sim.step(X0, cfg, P2, noise, step_index=0)
-        assert x1.p0 == x2.p0 and np.isfinite(x1.q1)
+        x1 = list(sim.run_paths(X0, 1, 3, 1, cfg, P2))[-1][1]
+        x2 = list(sim.run_paths(X0, 1, 3, 1, cfg, P2))[-1][1]
+        assert x1.p0[0] == x2.p0[0] and np.isfinite(x1.q1[0])
 
     def test_nonfinite_raises(self):
         bad = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=3.0)
@@ -39,7 +38,45 @@ class TestDeterminism:
                 sim.simulate_ensemble(State4(4.0, -4.0, 0, 0), cfg, bad,
                                       {"H": sim.obs_energy(bad)}, seed=0,
                                       n_paths=4)
-        assert exc.value.time is not None
+        err = exc.value
+        assert err.time is not None and err.path is not None
+        assert f"at t={err.time:g}, path {err.path}" in str(err)
+
+    @pytest.mark.xfail(strict=True, reason="a path's noise depends on "
+                       "n_paths until draws are keyed on path blocks "
+                       "(ROADMAP open item 2)")
+    def test_prefix_of_paths_is_independent_of_ensemble_size(self):
+        cfg = sim.IntegratorConfig(dt=0.005, t_end=0.5)
+        n_steps = 100
+
+        def final(n):
+            return list(sim.run_paths(X0, n, 3, n_steps, cfg, P2))[-1][1]
+
+        assert np.array_equal(final(4).as_array(),
+                              final(8).as_array()[:, :4])
+
+
+class TestRunPaths:
+    def test_run_paths_equals_hand_loop_of_step_ensemble(self):
+        # a stiff start at t_hot = 2.54 spreads the paths over halving
+        # levels 0-3, so each step draws several noise groups
+        p = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=2.54, k=2.0)
+        cfg = sim.IntegratorConfig(dt=0.05, t_end=2.0, substep_cap=10.0,
+                                   max_halvings=3)
+        x0, n, seed, n_steps = State4(2.0, -2.0, 0.0, 0.0), 64, 11, 40
+        noise = sim.NoiseStream(seed)
+        x = [np.full(n, v) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
+        expected, levels = [np.stack(x)], set()
+        for i in range(n_steps):
+            levels |= set(np.unique(sim._halvings_needed(x[0], x[1], p,
+                                                         cfg)).tolist())
+            x = sim.step_ensemble(*x, i, cfg, p, noise)
+            expected.append(np.stack(x))
+        assert len(levels) >= 3
+        got = list(sim.run_paths(x0, n, seed, n_steps, cfg, p))
+        assert [i for i, _ in got] == list(range(n_steps + 1))
+        for (_, s), e in zip(got, expected):
+            assert np.array_equal(s.as_array(), e)
 
 
 class TestSchemes:
