@@ -41,7 +41,9 @@ def _write_csv(path, header, rows):
 
 def _prepare(args, command):
     text = ""
-    if args.config:
+    if args.config == "-":
+        text = sys.stdin.read()
+    elif args.config:
         text = Path(args.config).read_text()
     cfg = parse_config_text(text, command)
     out = Path(args.out)
@@ -186,12 +188,13 @@ def cmd_convergence(args) -> int:
     burn = cfg["convergence.burn_in"]
     binning = cfg["convergence.binning"]
     n_times = cfg["convergence.n_times"]
-    steps_per = (int(round(icfg.t_end / n_times / icfg.dt)) if n_times > 0
-                 else 0)
-    if steps_per < 1:
-        raise ConfigError(f"convergence.n_times = {n_times} leaves less than "
-                          f"one step of integrator.dt = {icfg.dt} between "
-                          f"points up to integrator.t_end = {icfg.t_end}")
+    n_steps = int(round(icfg.t_end / icfg.dt))
+    if not 1 <= n_times <= n_steps:
+        raise ConfigError(f"convergence.n_times = {n_times} is not between 1 "
+                          f"and the {n_steps} steps of integrator.dt = "
+                          f"{icfg.dt} up to integrator.t_end = {icfg.t_end}")
+    # point j of n_times sits at the step nearest to j * t_end / n_times
+    marks = {int(round(j * n_steps / n_times)) for j in range(1, n_times + 1)}
 
     # stationary reference: long burn-in from a moderate-energy start
     ref_cfg = replace(icfg, t_end=burn)
@@ -204,8 +207,8 @@ def cmd_convergence(args) -> int:
 
     # point-started ensemble, TV against the reference at a ladder of times
     ts, tvs = [], []
-    for i, s in sim.run_paths(x0, n, seed, n_times * steps_per, icfg, p):
-        if i > 0 and i % steps_per == 0:
+    for i, s in sim.run_paths(x0, n, seed, n_steps, icfg, p):
+        if i in marks:
             ts.append(i * icfg.dt)
             tvs.append(sim.tv_proxy(s.as_array().T, ref, binning))
     _write_csv(out / "tv_series.csv", ["t", "tv_proxy"],
@@ -229,6 +232,9 @@ def cmd_convergence(args) -> int:
 def cmd_verify(args) -> int:
     cfg, out, seed = _prepare(args, "verify")
     name = args.preset or cfg["verify.preset"]
+    if name not in pre.PRESET_NAMES:
+        raise ConfigError(f"unknown preset {name!r}; available: "
+                          f"{', '.join(pre.PRESET_NAMES)}")
     rep = pre.run_preset(name, n=cfg["verify.n"], seed=seed)
     if hasattr(rep, "hypotheses"):   # two-function report
         payload = rep.to_dict()
@@ -271,6 +277,9 @@ def cmd_reduced(args) -> int:
     cfg, out, seed = _prepare(args, "reduced")
     rp = rd.ReducedParams(eta=cfg["reduced.eta"], sigma=cfg["reduced.sigma"])
     mode = cfg["reduced.mode"]
+    if mode not in ("density", "simulate", "classify", "all"):
+        raise ConfigError(f"reduced.mode = {mode!r} is not one of density, "
+                          "simulate, classify, all")
     report = {"eta": rp.eta, "sigma": rp.sigma}
     if mode in ("classify", "all"):
         report["rate_row"] = rd.classify_reduced(rp).to_dict()
@@ -313,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical laboratory for the two-oscillator chain with "
                     "one undamped noise channel")
     ap.add_argument("command", choices=sorted(COMMANDS))
-    ap.add_argument("--config", help="flat key-value config file")
+    ap.add_argument("--config", help="flat key-value config file "
+                                     "('-' reads standard input)")
     ap.add_argument("--seed", type=int, default=None,
                     help="master seed (default 0)")
     ap.add_argument("--out", default="runs/out", help="output directory")

@@ -6,28 +6,22 @@ itself is bounded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .model import ModelParams, v1_prime, v1_second
 
 
 @dataclass(frozen=True)
 class DriftMatrices:
-    """Linear drift/noise pair in y = (q, p0, p1) with q = (q0 - q1)/2,
-    plus the 4-D variant in (q0, q1, p0, p1) used at k = 1 where the pinning
-    force is itself asymptotically linear."""
+    """Linear drift in y = (q, p0, p1) with q = (q0 - q1)/2, plus the 4-D
+    variant in (q0, q1, p0, p1) used at k = 1 where the pinning force is
+    itself asymptotically linear."""
 
     A: np.ndarray
-    B: np.ndarray
     A_tilde: np.ndarray
-    B_tilde: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist()
-                for name in ("A", "B", "A_tilde", "B_tilde")}
 
 
 def build_matrices(params: ModelParams) -> DriftMatrices:
@@ -35,19 +29,12 @@ def build_matrices(params: ModelParams) -> DriftMatrices:
     A = np.array([[0.0, 0.5, -0.5],
                   [-2 * a, -g, 0.0],
                   [2 * a, 0.0, 0.0]])
-    B = math.sqrt(2 * g) * np.array([[0.0, 0.0],
-                                     [math.sqrt(params.t_cold), 0.0],
-                                     [0.0, math.sqrt(params.t_hot)]])
     # at k = 1 the unit pinning slope joins the coupling in the linear part
     A_t = np.array([[0.0, 0.0, 1.0, 0.0],
                     [0.0, 0.0, 0.0, 1.0],
                     [-(a + 1.0), a, -g, 0.0],
                     [a, -(a + 1.0), 0.0, 0.0]])
-    B_t = math.sqrt(2 * g) * np.array([[0.0, 0.0],
-                                       [0.0, 0.0],
-                                       [math.sqrt(params.t_cold), 0.0],
-                                       [0.0, math.sqrt(params.t_hot)]])
-    return DriftMatrices(A=A, B=B, A_tilde=A_t, B_tilde=B_t)
+    return DriftMatrices(A=A, A_tilde=A_t)
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
@@ -63,49 +50,10 @@ class GramForm:
         y = np.asarray(y, dtype=float)
         return np.einsum("...i,ij,...j->...", y, self.S, y)
 
-    def to_dict(self) -> dict:
-        return {"S": self.S.tolist(), "gamma_tilde": self.gamma_tilde,
-                "eigenvalues": np.linalg.eigvalsh(self.S).tolist()}
 
-
-def _sym_index(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def solve_weighted_lyapunov(A: np.ndarray, gamma_tilde: float,
-                            order=None) -> np.ndarray:
-    """S with A^T S + S A + gamma_tilde S = -I via a dense solve on the
-    symmetric unknowns.  `order` permutes the unknowns (used to check
-    solver-order independence)."""
-    n = A.shape[0]
-    pairs = _sym_index(n)
-    if order is not None:
-        pairs = [pairs[i] for i in order]
-    m = len(pairs)
-    M = np.zeros((m, m))
-    rhs = np.zeros(m)
-    col_of = {p: c for c, p in enumerate(pairs)}
-
-    def col(i, j):
-        return col_of[(i, j) if i <= j else (j, i)]
-
-    for r, (i, j) in enumerate(pairs):
-        # equation (i, j) of A^T S + S A + g S = -I
-        for l in range(n):
-            M[r, col(l, j)] += A[l, i]
-            M[r, col(i, l)] += A[l, j]
-        M[r, col(i, j)] += gamma_tilde
-        rhs[r] = -1.0 if i == j else 0.0
-    sol = np.linalg.solve(M, rhs)
-    S = np.zeros((n, n))
-    for c, (i, j) in enumerate(pairs):
-        S[i, j] = sol[c]
-        S[j, i] = sol[c]
-    return S
-
-
-def build_gram(A: np.ndarray, gamma_tilde: float, order=None) -> GramForm:
-    """Gram form of the exponentially weighted controllability-type integral.
+def build_gram(A: np.ndarray, gamma_tilde: float) -> GramForm:
+    """Gram form S of the exponentially weighted controllability-type
+    integral, the solution of A^T S + S A + gamma_tilde S = -I.
 
     Requires the spectral abscissa of A to lie below -gamma_tilde/2 so the
     defining integral converges.
@@ -115,7 +63,9 @@ def build_gram(A: np.ndarray, gamma_tilde: float, order=None) -> GramForm:
         raise ValueError(
             f"integral diverges: spectral abscissa {absc:.6g} is not below "
             f"-gamma_tilde/2 = {-gamma_tilde / 2:.6g}")
-    S = solve_weighted_lyapunov(A, gamma_tilde, order=order)
+    n = A.shape[0]
+    S = solve_continuous_lyapunov((A + 0.5 * gamma_tilde * np.eye(n)).T,
+                                  -np.eye(n))
     eig = np.linalg.eigvalsh(S)
     if eig.min() <= 0:
         raise ValueError("computed Gram form is not positive definite")
@@ -163,8 +113,10 @@ def _smoothstep_d(u):
 
 @dataclass(frozen=True)
 class ForceSurrogate:
-    """G with G = -V1' far out, linear near 0, quintic blend between;
-    satisfies G V1' <= C - |V1'|^2 and |G|^2 <= C + |V1'|^2 with sup|G'| <= eps."""
+    """G with G = -V1' for |q| >= 2 r_eps and G = -r_eps^(2k-2) q for
+    |q| <= r_eps, joined by a quintic blend; both pieces oppose q, so
+    G V1' <= 0 everywhere.  Satisfies G V1' <= C - |V1'|^2 and
+    |G|^2 <= C + |V1'|^2 with sup|G'| <= eps."""
 
     eps: float
     k: float
@@ -175,7 +127,7 @@ class ForceSurrogate:
     def g(self, q):
         q = np.asarray(q, dtype=float)
         aq = np.abs(q)
-        inner = q * self.r_eps ** (2 * self.k - 2)
+        inner = -q * self.r_eps ** (2 * self.k - 2)
         outer = -v1_prime(q, self.params)
         w = _smoothstep((aq - self.r_eps) / self.r_eps)
         return (1.0 - w) * inner + w * outer
@@ -183,8 +135,8 @@ class ForceSurrogate:
     def g_prime(self, q):
         q = np.asarray(q, dtype=float)
         aq = np.abs(q)
-        inner = q * self.r_eps ** (2 * self.k - 2)
-        d_inner = self.r_eps ** (2 * self.k - 2) * np.ones_like(q)
+        inner = -q * self.r_eps ** (2 * self.k - 2)
+        d_inner = -self.r_eps ** (2 * self.k - 2) * np.ones_like(q)
         outer = -v1_prime(q, self.params)
         d_outer = -v1_second(q, self.params)
         u = (aq - self.r_eps) / self.r_eps
@@ -193,8 +145,7 @@ class ForceSurrogate:
         return (1.0 - w) * d_inner + w * d_outer + dw * (outer - inner)
 
 
-def g_eps_profile(eps: float, k: float, max_doublings: int = 40,
-                  grid_points: int = 100_000) -> ForceSurrogate:
+def g_eps_profile(eps: float, k: float) -> ForceSurrogate:
     """Search the smallest power-of-two radius whose surrogate has measured
     sup |G'| <= eps, then report the realized constant C_eps from a scan."""
     if not (0.5 < k < 1):
@@ -204,15 +155,15 @@ def g_eps_profile(eps: float, k: float, max_doublings: int = 40,
     params = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=1.0,
                          k=k, smoothing="regularized")
     r = 1.0
-    for _ in range(max_doublings):
+    for _ in range(40):
         prof = ForceSurrogate(eps=eps, k=k, r_eps=r, c_eps=0.0, params=params)
-        q = np.linspace(-4 * r, 4 * r, grid_points)
+        q = np.linspace(-4 * r, 4 * r, 100_000)
         sup_d = float(np.max(np.abs(prof.g_prime(q))))
         # outside 4 r the slope |V1''| only decays; the scan window suffices
         if sup_d <= eps:
             # both defining inequalities are equalities-at-zero for |q| >= 2r,
             # so their maxima live on [-2r, 2r]; scan slightly beyond
-            qs = np.linspace(-2.5 * r, 2.5 * r, grid_points)
+            qs = np.linspace(-2.5 * r, 2.5 * r, 100_000)
             gv = prof.g(qs) * v1_prime(qs, params)
             v2 = v1_prime(qs, params) ** 2
             c1 = float(np.max(gv + v2))
@@ -222,5 +173,5 @@ def g_eps_profile(eps: float, k: float, max_doublings: int = 40,
                                   params=params)
         r *= 2.0
     raise ValueError(
-        f"no radius up to 2^{max_doublings} achieves sup|G'| <= {eps} "
+        f"no radius up to 2^40 achieves sup|G'| <= {eps} "
         f"for k = {k} (last sup = {sup_d:.3g})")

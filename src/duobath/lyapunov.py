@@ -247,7 +247,6 @@ class SolutionTables:
     xi: Optional[osc.CenteredSolution] = None
     xi_tilde: Optional[osc.CenteredSolution] = None
     gram: Optional[GramForm] = None
-    gram4: Optional[GramForm] = None
     g_eps: Optional[ForceSurrogate] = None
 
     def jets(self, x: State4) -> Dict[str, Jet2]:
@@ -287,11 +286,7 @@ def build_tables(spec: TestFunctionSpec, params: ModelParams) -> SolutionTables:
     if fam in ("hatH_smallk", "W_smallk", "S_form"):
         m = build_matrices(params)
         A = m.A_tilde if spec.parameters.get("variant", 0.0) == 4 else m.A
-        t_gram = build_gram(A, default_gamma_tilde(A))
-        if spec.parameters.get("variant", 0.0) == 4:
-            t.gram4 = t_gram
-        else:
-            t.gram = t_gram
+        t.gram = build_gram(A, default_gamma_tilde(A))
     if fam == "hatH_smallk":
         t.g_eps = g_eps_profile(spec.p("eps", 0.05), k)
     return t
@@ -344,49 +339,23 @@ def _jet_v_klt2(x, params, sj, theta, eta_cutoff) -> Jet2:
             - c_t * (pt * sj["psi"] * cut))
 
 
-def build_test_function(spec: TestFunctionSpec, params: ModelParams,
-                        tables: Optional[SolutionTables] = None):
+def build_test_function(spec: TestFunctionSpec, params: ModelParams):
     """Assemble the drift form for a named family.
 
     Plain (polynomial-scale) families return PlainForm; exponential families
     return ExpForm/SumExpForm and are meant to be checked on the log scale.
     """
-    if tables is None:
-        tables = build_tables(spec, params)
+    tables = build_tables(spec, params)
     form = _build_form(spec, params, tables)
     form._phi_hint = tables.phi     # lets shell samplers align with p-tilde
     form.spec = spec
     return form
 
 
-_REQUIRED_TABLES = {
-    "H0_cutoff": ("phi", "psi", "xi"),
-    "V_k2": ("phi", "psi", "xi"),
-    "V_klt2": ("phi", "psi", "xi"),
-    "W_tail": ("phi", "psi", "xi", "xi_tilde"),
-    "W1_nonexist": ("phi", "psi", "xi"),
-    "W_exp_frac": ("phi", "psi", "xi"),
-    "hatH_smallk": ("gram", "g_eps"),
-    "W_smallk": ("gram",),
-}
-
-
 def _build_form(spec: TestFunctionSpec, params: ModelParams,
                 tables: SolutionTables):
     fam = spec.family
     P = spec.p
-    missing = [name for name in _REQUIRED_TABLES.get(fam, ())
-               if getattr(tables, name) is None]
-    if fam == "tildeH0" and params.k > 1 and tables.phi is None:
-        missing.append("phi")
-    if fam == "S_form" and spec.parameters.get("variant", 0.0) == 4 \
-            and tables.gram4 is None:
-        missing.append("gram4")
-    elif fam == "S_form" and spec.parameters.get("variant", 0.0) != 4 \
-            and tables.gram is None:
-        missing.append("gram")
-    if missing:
-        raise ValueError(f"family {fam!r} is missing tables: {missing}")
 
     if fam == "tildeH0":
         theta = P("theta", 0.05)
@@ -515,7 +484,7 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
         if spec.parameters.get("variant", 0.0) == 4:
             def jet4(x, p):
                 comps = [jet_coord(n, x) for n in ("q0", "q1", "p0", "p1")]
-                return jet_gram(tables.gram4, comps)
+                return jet_gram(tables.gram, comps)
             return PlainForm(jet4, name="yS4y")
 
         def jet3(x, p):

@@ -345,7 +345,7 @@ def fit_decay(ts, ds) -> DecayFit:
 
     diffs = np.diff(y)
     frac_up = float(np.mean(diffs > 0))
-    net = y[0] - y[-1]
+    net = float(y[0] - y[-1])
     inconclusive = (net < math.log(2.0)) or (frac_up > 0.45)
 
     def lsq(design):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -100,6 +101,24 @@ class TestExitCodes:
         assert lines[0].startswith("r_lo,r_hi,samples,violations,min")
         assert len(lines) == len(rep["shells"]) + 1
 
+    @pytest.mark.parametrize("extra,cfg", [
+        (["--preset", "bogus"], ""),
+        ((), "verify.preset = bogus\n"),
+    ])
+    def test_unknown_preset_is_exit_1(self, tmp_path, capsys, extra, cfg):
+        code, out = run(tmp_path, "verify", cfg, extra=extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and "'bogus'" in err
+        assert not (out / "report.json").exists()
+
+    def test_unknown_reduced_mode_is_exit_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, "reduced", "reduced.mode = densty\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and "densty" in err
+        assert not (out / "report.json").exists()
+
 
 class TestArtifacts:
     def test_manifest_written_and_echoes_config(self, tmp_path):
@@ -128,6 +147,15 @@ class TestArtifacts:
         # csv floats round-trip
         k_back = float(lines[1].split(",")[0])
         assert k_back == 0.4
+
+    def test_config_from_stdin(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("grid.k_values = 2.0\n"))
+        code, out = run(tmp_path, "phase-diagram", extra=["--config", "-"])
+        assert code == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["config"]["grid.k_values"] == [2.0]
+        lines = (out / "phase_diagram.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("2.0,")
 
     def test_simulate_outputs_bit_identical_rerun(self, tmp_path):
         cfg = "integrator.t_end = 1.0\nensemble.n_paths = 32\n"
@@ -201,3 +229,16 @@ class TestConvergence:
         assert code == 1
         assert "convergence.n_times" in capsys.readouterr().err
         assert not (out / "tv_series.csv").exists()
+
+    @pytest.mark.parametrize("n_times", [3, 6])
+    def test_last_point_is_at_t_end(self, tmp_path, n_times):
+        code, out = run(tmp_path, "convergence",
+                        "integrator.dt = 0.01\nintegrator.t_end = 1.0\n"
+                        "ensemble.n_paths = 64\nconvergence.burn_in = 0.2\n"
+                        f"convergence.n_times = {n_times}\n")
+        assert code == 0
+        rows = (out / "tv_series.csv").read_text().splitlines()[1:]
+        ts = [float(r.split(",")[0]) for r in rows]
+        assert len(ts) == n_times
+        assert ts[-1] == 1.0
+        assert all(b > a for a, b in zip(ts, ts[1:]))

@@ -285,6 +285,12 @@ class TestFitDecay:
         f = sim.fit_decay(t, d)
         assert f.inconclusive
 
+    def test_non_decaying_flag_is_a_plain_bool(self):
+        # the convergence report writes the flag with json
+        t = np.linspace(1, 10, 20)
+        f = sim.fit_decay(t, 1.0 + 0.01 * t)
+        assert f.inconclusive is True
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             sim.fit_decay([1, 2, 3], [1, 0.5, 0.2])
