@@ -134,8 +134,7 @@ def cmd_simulate(args) -> int:
                                    n_paths=cfg["ensemble.n_paths"])
     _write_csv(out / "stats.csv",
                ["t", "observable", "mean", "q05", "q50", "q95"],
-               [[r[0], r[1], r[2], r[3], r[4], r[5]]
-                for r in _stats_rows(series)])
+               _stats_rows(series))
     if cfg["samples.dump"]:
         _write_csv(out / "samples.csv", ["q0", "q1", "p0", "p1"],
                    series.final.as_array().T.tolist())

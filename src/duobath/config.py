@@ -50,7 +50,6 @@ MODEL_SCHEMA = {
 }
 
 INTEGRATOR_SCHEMA = {
-    "integrator.scheme": ("str", "strang_split"),
     "integrator.dt": ("float", 0.005),
     "integrator.t_end": ("float", 10.0),
     "integrator.record_stride": ("int", 10),
@@ -143,8 +142,7 @@ def model_from_config(cfg: dict) -> ModelParams:
 def integrator_from_config(cfg: dict) -> IntegratorConfig:
     try:
         return IntegratorConfig(
-            scheme=cfg["integrator.scheme"], dt=cfg["integrator.dt"],
-            t_end=cfg["integrator.t_end"],
+            dt=cfg["integrator.dt"], t_end=cfg["integrator.t_end"],
             record_stride=cfg["integrator.record_stride"],
             substep_cap=cfg["integrator.substep_cap"],
             max_halvings=cfg["integrator.max_halvings"])

@@ -1,7 +1,6 @@
 """Small-stiffness (k <= 1) machinery: drift matrices in reduced coordinates,
-the exponentially weighted Gram form S, the homogenization corrector for the
-center of mass, and the bounded force surrogate used when the pinning force
-itself is bounded.
+the exponentially weighted Gram form S, and the bounded force surrogate used
+when the pinning force itself is bounded.
 """
 
 from __future__ import annotations
@@ -75,27 +74,6 @@ def build_gram(A: np.ndarray, gamma_tilde: float) -> GramForm:
 def default_gamma_tilde(A: np.ndarray) -> float:
     """0.9 of the largest admissible decay rate 2|spectral abscissa|."""
     return 0.9 * 2.0 * abs(spectral_abscissa(A))
-
-
-def corrector(state, params: ModelParams):
-    """Corrected center of mass and the fast coordinates.
-
-    Returns (Q_hat, y) with Q = (q0+q1)/2, y = (q, p0, p1), and
-    Q_hat = Q + <a, y> where a = (1, 1/gamma, 1/gamma) solves the associated
-    Poisson problem for the frozen-Q linear generator.
-    """
-    g = params.gamma
-    q0, q1 = np.asarray(state.q0, dtype=float), np.asarray(state.q1, dtype=float)
-    p0, p1 = np.asarray(state.p0, dtype=float), np.asarray(state.p1, dtype=float)
-    Q = 0.5 * (q0 + q1)
-    y = np.stack([0.5 * (q0 - q1), p0, p1], axis=-1)
-    q_hat = Q + y[..., 0] + (y[..., 1] + y[..., 2]) / g
-    return q_hat, y
-
-
-def corrector_weights(params: ModelParams) -> np.ndarray:
-    """The (1, 1/gamma, 1/gamma) weights defining the corrected variable."""
-    return np.array([1.0, 1.0 / params.gamma, 1.0 / params.gamma])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Drift test functions as exact jet fields, numerical sign verification of
-drift conditions on high-energy shells, the two-function non-existence
-report, and the explicit lower-bound machinery for convergence rates.
+drift conditions on high-energy shells, and the two-function non-existence
+report.
 
 All sign checks are floating-point verifications on sampled shells, not
 certificates; reports say so and carry the sampled evidence.
@@ -8,7 +8,6 @@ certificates; reports say so and carry the sampled evidence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -91,8 +90,8 @@ class CutoffProfile:
 CUTOFF = CutoffProfile()
 
 
-def jet_cutoff(u: Jet2, profile: CutoffProfile = CUTOFF) -> Jet2:
-    return u.compose(profile.value, profile.d1, profile.d2)
+def jet_cutoff(u: Jet2) -> Jet2:
+    return u.compose(CUTOFF.value, CUTOFF.d1, CUTOFF.d2)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +306,20 @@ def _jet_veff_prime(x, params) -> Jet2:
     return jet_v1_prime("q0", x, params) + params.alpha * jet_coord("q0", x)
 
 
+def _jet_ysy(x, gram: GramForm) -> Jet2:
+    """<y, S y> with the fast coordinates y = ((q0 - q1)/2, p0, p1)."""
+    q = 0.5 * (jet_coord("q0", x) - jet_coord("q1", x))
+    return jet_gram(gram, [q, jet_coord("p0", x), jet_coord("p1", x)])
+
+
+def _jet_qhat(x, params) -> Jet2:
+    """Corrected center of mass Q_hat = Q + <a, y> = q0 + (p0 + p1)/gamma,
+    with Q = (q0 + q1)/2 and a = (1, 1/gamma, 1/gamma) solving the Poisson
+    problem of the frozen-Q linear generator in y = ((q0 - q1)/2, p0, p1)."""
+    return jet_coord("q0", x) \
+        + (1.0 / params.gamma) * (jet_coord("p0", x) + jet_coord("p1", x))
+
+
 def _jet_tilde_h0(x, params, pt, theta) -> Jet2:
     q0 = jet_coord("q0", x)
     return 0.5 * (pt * pt) + _jet_veff(x, params) + theta * (pt * q0)
@@ -440,9 +453,7 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
         prof = tables.g_eps
 
         def hat_jet(x, p):
-            q = 0.5 * (jet_coord("q0", x) - jet_coord("q1", x))
-            comps = [q, jet_coord("p0", x), jet_coord("p1", x)]
-            sy = jet_gram(tables.gram, comps)
+            sy = _jet_ysy(x, tables.gram)
             g0 = _jet_g_eps(prof, "q0", x)
             g1 = _jet_g_eps(prof, "q1", x)
             psum = jet_coord("p0", x) + jet_coord("p1", x)
@@ -458,23 +469,17 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
     if fam == "W_smallk":
         beta0, lam = P("beta0", 0.05), P("lambda", 1.0)
 
-        def sy_jet(x, p):
-            q = 0.5 * (jet_coord("q0", x) - jet_coord("q1", x))
-            return jet_gram(tables.gram, [q, jet_coord("p0", x),
-                                          jet_coord("p1", x)])
-
         def v1qhat_jet(x, p):
-            qhat = jet_coord("q0", x) \
-                + (1.0 / p.gamma) * (jet_coord("p0", x) + jet_coord("p1", x))
-            return qhat.compose(lambda v: v1_eval(v, p),
-                                lambda v: v1_prime(v, p),
-                                lambda v: v1_second(v, p))
+            return _jet_qhat(x, p).compose(lambda v: v1_eval(v, p),
+                                           lambda v: v1_prime(v, p),
+                                           lambda v: v1_second(v, p))
 
         lin = lambda c: (lambda v: c * v, lambda v: c * np.ones_like(v),
                          lambda v: np.zeros_like(v))
         pa, da, d2a = lin(beta0)
         pb, db, d2b = lin(beta0 * lam)
-        ea = ExpForm(PlainForm(sy_jet, "ySy"), pa, da, d2a, "exp(b0*ySy)")
+        ea = ExpForm(PlainForm(lambda x, p: _jet_ysy(x, tables.gram), "ySy"),
+                     pa, da, d2a, "exp(b0*ySy)")
         eb = ExpForm(PlainForm(v1qhat_jet, "V1(Qhat)"), pb, db, d2b,
                      "exp(b0*lam*V1(Qhat))")
         return SumExpForm([ea, eb],
@@ -486,12 +491,7 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
                 comps = [jet_coord(n, x) for n in ("q0", "q1", "p0", "p1")]
                 return jet_gram(tables.gram, comps)
             return PlainForm(jet4, name="yS4y")
-
-        def jet3(x, p):
-            q = 0.5 * (jet_coord("q0", x) - jet_coord("q1", x))
-            return jet_gram(tables.gram, [q, jet_coord("p0", x),
-                                          jet_coord("p1", x)])
-        return PlainForm(jet3, name="ySy")
+        return PlainForm(lambda x, p: _jet_ysy(x, tables.gram), name="ySy")
 
     raise ValueError(f"unhandled family {fam!r}")
 
@@ -509,7 +509,7 @@ def _jet_g_eps(prof: ForceSurrogate, name: str, x: State4) -> Jet2:
 @dataclass(frozen=True)
 class ShellSpec:
     """Sampling band H in [r, hi_ratio*r]; oscillator energies are drawn
-    log-uniformly so both энергы axes (one oscillator hot, the other cold)
+    log-uniformly so both energy axes (one oscillator hot, the other cold)
     are exercised.  e1_floor keeps the undamped oscillator out of the small
     ball where scaled orbit functions are untrusted."""
 
@@ -584,10 +584,12 @@ def _draw_batch(params: ModelParams, r_hi: float, m: int,
     return State4(q0=q0, q1=q1, p0=p0, p1=p1)
 
 
+MAX_BATCHES = 400      # candidate batches of 4n before the sampler gives up
+
+
 def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
                  rng: np.random.Generator, shell: ShellSpec,
-                 phi: Optional[osc.CenteredSolution] = None,
-                 max_batches: int = 400) -> State4:
+                 phi: Optional[osc.CenteredSolution] = None) -> State4:
     """Draw n states with H in [r_lo, r_hi].
 
     Oscillator energies are drawn log-uniformly and independently, which
@@ -602,7 +604,7 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
         orbit = osc.reference_orbit(params.k) if params.k > 1 else None
     keep: List[np.ndarray] = []
     kept = 0
-    for _ in range(max_batches):
+    for _ in range(MAX_BATCHES):
         x = _draw_batch(params, r_hi, 4 * n, rng, shell, phi, orbit)
         h = hamiltonian(x, params)
         ok = (h >= r_lo) & (h <= r_hi)
@@ -620,6 +622,10 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
 
 # ---------------------------------------------------------------------------
 # sign verification with radius doubling
+
+VIOLATION_THRESHOLD = 1e-3   # largest violating fraction a passing shell has
+STABLE_RUNS = 3              # equal verdicts in a row that end the doubling
+
 
 @dataclass
 class Predicate:
@@ -682,18 +688,13 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
 
 def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
                 seed: int, params: ModelParams,
-                phi: Optional[osc.CenteredSolution] = None,
-                violation_threshold: float = 1e-3,
-                stable_runs: int = 3,
-                parameters: Optional[Dict] = None) -> VerificationReport:
+                phi: Optional[osc.CenteredSolution] = None
+                ) -> VerificationReport:
     """Evaluate the drift of `form` on energy shells and report sign
-    violations, doubling the radius until the verdict repeats stable_runs
+    violations, doubling the radius until the verdict repeats STABLE_RUNS
     times in a row."""
     if n < 1000:
         raise ValueError("need at least 1000 samples per shell")
@@ -720,29 +721,31 @@ def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
             margin_quantiles={"min": float(qs[0]), "q01": float(qs[1]),
                               "q25": float(qs[2]), "q50": float(qs[3]),
                               "q75": float(qs[4]), "max": float(qs[5])},
-            verdict=(viol / n) < violation_threshold)
+            verdict=(viol / n) < VIOLATION_THRESHOLD)
         shells.append(res)
         verdicts.append(res.verdict)
-        if len(verdicts) >= stable_runs and \
-                len(set(verdicts[-stable_runs:])) == 1:
-            stab_radius = shells[-stable_runs].r_lo
+        if len(verdicts) >= STABLE_RUNS and \
+                len(set(verdicts[-STABLE_RUNS:])) == 1:
+            stab_radius = shells[-STABLE_RUNS].r_lo
             break
         r *= 2.0
     stabilized = stab_radius is not None
     final = verdicts[-1] if stabilized else False
-    if parameters is None:
-        spec = getattr(form, "spec", None)
-        parameters = dict(spec.parameters) if spec is not None else {}
+    spec = getattr(form, "spec", None)
     return VerificationReport(
         field=getattr(form, "name", str(form)), predicate=predicate.name,
-        parameters=parameters, seed=seed, n_per_shell=n,
-        violation_threshold=violation_threshold, shells=shells,
+        parameters=dict(spec.parameters) if spec is not None else {},
+        seed=seed, n_per_shell=n,
+        violation_threshold=VIOLATION_THRESHOLD, shells=shells,
         stabilized=stabilized, stabilization_radius=stab_radius,
         final_verdict=final)
 
 
 # ---------------------------------------------------------------------------
 # two-function non-existence report
+
+N_SHELLS = 6     # doubling shells of the ladder; drifts use the last two
+
 
 @dataclass
 class HypothesisResult:
@@ -762,11 +765,10 @@ class WonhamReport:
 
 
 def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
-                  shell: ShellSpec, n: int = 4000, seed: int = 0,
-                  n_shells: int = 6,
-                  violation_threshold: float = 1e-3) -> WonhamReport:
+                  shell: ShellSpec, n: int = 4000, seed: int = 0
+                  ) -> WonhamReport:
     """Check the four hypotheses of the two-function non-existence criterion
-    on a ladder of doubling shells.
+    on a ladder of N_SHELLS doubling shells.
 
     f_bound(states, params) is the integrability weight F evaluated on
     states (plain scale; use exp-kind forms' ratio checks for exponential
@@ -774,7 +776,7 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
     """
     log_mode = getattr(w1_form, "kind", "plain") == "exp"
     phi = getattr(w1_form, "_phi_hint", None)
-    ladder = [shell.r0 * 2 ** i for i in range(n_shells)]
+    ladder = [shell.r0 * 2 ** i for i in range(N_SHELLS)]
     sup_w1, inf_w2, shells_checked = [], [], []
     viol_w1 = viol_w2 = 0
     samples_last = 0
@@ -792,7 +794,7 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
         else:
             sup_w1.append(float(np.max(w1_form.values(level, params))))
             inf_w2.append(float(np.min(w2_form.values(level, params))))
-        if i >= n_shells - 2:
+        if i >= N_SHELLS - 2:
             states = sample_shell(params, r, shell.hi_ratio * r, n, rng,
                                   shell, phi=phi)
             s1 = w1_form.evaluate(states, params)
@@ -847,110 +849,10 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
     frac2 = viol_w2 / samples_last
     h4 = HypothesisResult(
         "L W1 >= 0 and L W2 <= F on the outer shells",
-        bool(frac1 < violation_threshold and frac2 < violation_threshold),
+        bool(frac1 < VIOLATION_THRESHOLD and frac2 < VIOLATION_THRESHOLD),
         {"w1_violation_fraction": frac1, "w2_violation_fraction": frac2})
 
     hyps = [h1, h2, h3, h4]
     return WonhamReport(hypotheses=hyps,
                         passed=all(h.passed for h in hyps),
                         shells_checked=shells_checked)
-
-
-# ---------------------------------------------------------------------------
-# explicit convergence lower bound and moment envelopes
-
-def lower_bound_tv(f: Callable[[np.ndarray], np.ndarray],
-                   g: Callable[[float, float], float],
-                   x0_value: float, t: float,
-                   grid: Optional[np.ndarray] = None,
-                   tol: float = 1e-10) -> float:
-    """Half of f at the unique root of y f(y) = 2 g(x0, t).
-
-    f must map [1, inf) into [0, 1] with y f(y) increasing to infinity
-    (checked on a grid), and g must be increasing in its second argument.
-    """
-    if grid is None:
-        grid = np.geomspace(1.0, 1e6, 400)
-    fy = np.asarray(f(grid), dtype=float)
-    if np.any(fy < -1e-12) or np.any(fy > 1 + 1e-12):
-        raise ValueError("f must take values in [0, 1]")
-    yfy = grid * fy
-    if np.any(np.diff(yfy) <= 0):
-        raise ValueError("y * f(y) is not strictly increasing on the grid")
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        if g(x0_value, frac * t) > g(x0_value, t) + 1e-12:
-            raise ValueError("g is not increasing in t")
-
-    target = 2.0 * g(x0_value, t)
-    lo, hi = 1.0, 2.0
-    for _ in range(400):
-        if hi * float(f(np.array([hi]))[0]) >= target:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise ValueError("could not bracket the root of y f(y) = 2 g")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if mid * float(f(np.array([mid]))[0]) < target:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
-    return 0.5 * float(f(np.array([y]))[0])
-
-
-@dataclass
-class MomentEnvelope:
-    """Closed-form growth envelope for energy moments.
-
-    polynomial variant: E H^a (X_t) <= (H(x0) + C_a t)^a with
-    C_a = gamma (T + T_inf) max(1, 2a - 1).
-    exponential variant: E exp(a H^kappa) <= exp(a H^kappa(x0)
-    + C_k (1+t)^(kappa/(1-kappa))), kappa in (0, 1/2].
-    """
-
-    variant: str
-    exponent: float
-    constant: float
-
-    def __call__(self, x0_h: float, t: float) -> float:
-        if self.variant == "polynomial":
-            return (x0_h + self.constant * t) ** self.exponent
-        a = self.exponent
-        kap = self.kappa
-        return math.exp(a * x0_h ** kap
-                        + self.constant * (1.0 + t) ** (kap / (1 - kap)))
-
-    kappa: float = 0.0
-
-
-def moment_growth_bound(alpha_or_kappa: float, params: ModelParams,
-                        variant: str = "polynomial",
-                        coeff: float = 1.0) -> MomentEnvelope:
-    """Envelope g(H(x0), t) bounding energy moments along the flow.
-
-    polynomial: exponent alpha_or_kappa, constant from the differential
-    inequality d/dt E H^a <= C (E H^a)^(1 - 1/a).
-    exponential: alpha_or_kappa is kappa in (0, 1/2]; coeff is the
-    coefficient inside exp(coeff * H^kappa).
-    """
-    g, T, Ti = params.gamma, params.t_cold, params.t_hot
-    rate = g * (T + Ti)
-    if variant == "polynomial":
-        a = alpha_or_kappa
-        if a <= 0:
-            raise ValueError("moment exponent must be positive")
-        return MomentEnvelope(variant="polynomial", exponent=a,
-                              constant=rate * max(1.0, 2 * a - 1.0))
-    if variant == "exponential":
-        kap = alpha_or_kappa
-        if not (0 < kap <= 0.5):
-            raise ValueError("kappa must lie in (0, 1/2]")
-        a = coeff
-        # from L e^{aH^k} <= C f(e^{aH^k}) with f(x) = x (log x)^(2 - 1/k)
-        c_gen = 2.0 * rate * kap ** 2 * a ** (1.0 / kap)
-        c_k = ((1.0 / kap - 1.0) * c_gen) ** (kap / (1.0 - kap))
-        env = MomentEnvelope(variant="exponential", exponent=a, constant=c_k)
-        env.kappa = kap
-        return env
-    raise ValueError(f"unknown variant {variant!r}")

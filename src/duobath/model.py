@@ -118,15 +118,23 @@ def hamiltonian(x: State4, params: ModelParams) -> ArrayLike:
             + 0.5 * params.alpha * dq * dq)
 
 
+def forces(q0: ArrayLike, q1: ArrayLike, params: ModelParams):
+    """Forces (f0, f1) on the two particles: pinning plus coupling."""
+    a = params.alpha
+    q0, q1 = np.asarray(q0), np.asarray(q1)
+    f0 = -v1_prime(q0, params) + a * (q1 - q0)
+    f1 = -v1_prime(q1, params) + a * (q0 - q1)
+    return f0, f1
+
+
 def drift_and_noise(x: State4, params: ModelParams):
     """Drift vector (dq0, dq1, dp0, dp1) and the two noise amplitudes.
 
     There is no friction on p1; its only dissipation route is through the
     coupling.
     """
-    a, g = params.alpha, params.gamma
-    f0 = -v1_prime(x.q0, params) + a * (np.asarray(x.q1) - np.asarray(x.q0))
-    f1 = -v1_prime(x.q1, params) + a * (np.asarray(x.q0) - np.asarray(x.q1))
+    g = params.gamma
+    f0, f1 = forces(x.q0, x.q1, params)
     drift = np.stack([np.asarray(x.p0, dtype=float),
                       np.asarray(x.p1, dtype=float),
                       f0 - g * np.asarray(x.p0),

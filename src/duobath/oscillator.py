@@ -21,6 +21,8 @@ from scipy.special import beta as beta_fn
 DEFAULT_NODES = 4096
 CLOSURE_TOL = 1e-10
 ENERGY_FLOOR = 1e-12
+NEWTON_ITERS = 3     # Newton refinements of each inverted angle
+CENTRED_TOL = 1e-8   # |orbit mean| / rms above which a rhs is not centred
 
 
 class OrbitError(RuntimeError):
@@ -144,7 +146,7 @@ class OrbitTable:
     def n(self) -> int:
         return len(self.ts)
 
-    def time_of(self, P, Q, newton_iters: int = 3) -> np.ndarray:
+    def time_of(self, P, Q) -> np.ndarray:
         """Invert the orbit parametrization: time in [0, period) of (P, Q).
 
         (P, Q) must lie on this orbit (callers rescale first).  The quarter
@@ -163,7 +165,7 @@ class OrbitTable:
         t = np.where(use_q, np.interp(aq, self._qq, self._tq),
                      np.interp(-ap, -self._pq, self._tq))
 
-        for _ in range(newton_iters):
+        for _ in range(NEWTON_ITERS):
             base, w = _stencil(t / self.period, self.n)
             pi = _gather(self.padded_pq[0], base, w)
             qi = _gather(self.padded_pq[1], base, w)
@@ -197,10 +199,6 @@ class OrbitTable:
         s = np.maximum(E, ENERGY_FLOOR) / self.energy
         t = self.time_of(P * s ** (-0.5), Q * s ** (-1 / (2 * self.k)))
         return self.at_angle(s, t / self.period)
-
-    def state_at_fraction(self, frac) -> tuple[np.ndarray, np.ndarray]:
-        """(P, Q) at time = frac * period."""
-        return self.at_angle(1.0, frac).state()
 
 
 def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
@@ -357,8 +355,7 @@ def solve_poisson(rhs, E_ref: float, k: float, *,
                   rhs_scaling: float,
                   rhs_dP=None,
                   orbit: Optional[OrbitTable] = None,
-                  n: int = DEFAULT_NODES,
-                  centred_tol: float = 1e-8) -> CenteredSolution:
+                  n: int = DEFAULT_NODES) -> CenteredSolution:
     """Centred u with du/dt = rhs along the orbit at E_ref.
 
     rhs may be a callable g(P, Q) or an array of node values; it must be
@@ -371,7 +368,7 @@ def solve_poisson(rhs, E_ref: float, k: float, *,
     rhs_nodes = np.asarray(rhs(orbit.P, orbit.Q) if callable(rhs) else rhs,
                            dtype=float)
     scale = max(float(np.sqrt(np.mean(rhs_nodes ** 2))), 1e-300)
-    if abs(float(np.mean(rhs_nodes))) / scale > centred_tol:
+    if abs(float(np.mean(rhs_nodes))) / scale > CENTRED_TOL:
         raise ValueError("rhs is not centred on the orbit")
 
     u = _fft_antiderivative(rhs_nodes, orbit.period)
@@ -484,16 +481,3 @@ def c_hat(n: int = DEFAULT_NODES) -> float:
     Energy independent because phi scales like H_f^0 at k = 2.
     """
     return phi_mean_square(2.0, n)
-
-
-def solution_to_csv(sol: CenteredSolution, path) -> None:
-    """Columns: t, Q, P, u0, dP_u0."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "Q", "P", "u0", "dP_u0"])
-        for row in zip(sol.orbit.ts, sol.orbit.Q, sol.orbit.P,
-                       sol.angle_profile, sol.dP_profile):
-            w.writerow([repr(float(v)) for v in row])
-

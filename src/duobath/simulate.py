@@ -17,10 +17,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .model import ModelParams, State4, hamiltonian, v1_prime
-
-EULER = "euler_maruyama"
-STRANG = "strang_split"
+from .model import ModelParams, State4, forces, hamiltonian
 
 
 class IntegrationError(RuntimeError):
@@ -32,7 +29,6 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    scheme: str = STRANG
     dt: float = 0.005
     t_end: float = 10.0
     record_stride: int = 10
@@ -44,8 +40,6 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.scheme not in (EULER, STRANG):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.substep_cap is not None and not self.substep_cap > 0:
             raise ValueError("substep_cap must be positive (None turns "
                              "halving off)")
@@ -66,13 +60,6 @@ class NoiseStream:
         return np.random.Generator(bg).standard_normal(shape)
 
 
-def _forces(q0, q1, params):
-    a = params.alpha
-    f0 = -v1_prime(q0, params) + a * (q1 - q0)
-    f1 = -v1_prime(q1, params) + a * (q0 - q1)
-    return f0, f1
-
-
 def _strang_core(q0, q1, p0, p1, h, params, z):
     """One step: OU(h/2) on the momenta, velocity Verlet(h), OU(h/2).
 
@@ -85,12 +72,12 @@ def _strang_core(q0, q1, p0, p1, h, params, z):
     s1 = math.sqrt(2 * g * Ti * h / 2)
     p0 = c * p0 + s0 * z[0]
     p1 = p1 + s1 * z[1]
-    f0, f1 = _forces(q0, q1, params)
+    f0, f1 = forces(q0, q1, params)
     p0 = p0 + 0.5 * h * f0
     p1 = p1 + 0.5 * h * f1
     q0 = q0 + h * p0
     q1 = q1 + h * p1
-    f0, f1 = _forces(q0, q1, params)
+    f0, f1 = forces(q0, q1, params)
     p0 = p0 + 0.5 * h * f0
     p1 = p1 + 0.5 * h * f1
     p0 = c * p0 + s0 * z[2]
@@ -98,24 +85,10 @@ def _strang_core(q0, q1, p0, p1, h, params, z):
     return q0, q1, p0, p1
 
 
-def _euler_core(q0, q1, p0, p1, h, params, z):
-    g, T, Ti = params.gamma, params.t_cold, params.t_hot
-    f0, f1 = _forces(q0, q1, params)
-    nq0 = q0 + h * p0
-    nq1 = q1 + h * p1
-    np0 = p0 + h * (f0 - g * p0) + math.sqrt(2 * g * T * h) * z[0]
-    np1 = p1 + h * f1 + math.sqrt(2 * g * Ti * h) * z[1]
-    return nq0, nq1, np0, np1
-
-
-def _required_draws(scheme):
-    return 4 if scheme == STRANG else 2
-
-
 def _halvings_needed(q0, q1, params, cfg):
     if cfg.substep_cap is None:
         return np.zeros(np.shape(q0), dtype=int)
-    f0, f1 = _forces(q0, q1, params)
+    f0, f1 = forces(q0, q1, params)
     mag = np.maximum(np.abs(f0), np.abs(f1))
     with np.errstate(divide="ignore"):
         m = np.ceil(np.log2(np.maximum(mag / cfg.substep_cap, 1.0)))
@@ -130,16 +103,14 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
     noise blocks, so the draws a path sees depend on (seed, step, level) and
     on its position among the paths at that level."""
     m = _halvings_needed(q0, q1, params, cfg)
-    core = _strang_core if cfg.scheme == STRANG else _euler_core
-    nd = _required_draws(cfg.scheme)
     out = [np.array(v, dtype=float, copy=True) for v in (q0, q1, p0, p1)]
     for level in np.unique(m):
         sel = m == level
         sub = [v[sel] for v in out]
         h = cfg.dt / (1 << int(level))
         for j in range(1 << int(level)):
-            z = noise.normals(step_index, int(level), j, (nd, int(sel.sum())))
-            sub = core(sub[0], sub[1], sub[2], sub[3], h, params, z)
+            z = noise.normals(step_index, int(level), j, (4, int(sel.sum())))
+            sub = _strang_core(sub[0], sub[1], sub[2], sub[3], h, params, z)
         for v, s in zip(out, sub):
             v[sel] = s
     return out
@@ -252,9 +223,12 @@ class HillResult:
     index_by_fraction: list
 
 
+HILL_MIN_TAIL = 1000   # fewest tail samples an estimate is made from
+HILL_BOOT_SEED = 0     # seed of the bootstrap that gives the stderr
+
+
 def hill_estimator(samples, top_fraction: float = 0.01, *,
-                   min_tail: int = 1000, n_boot: int = 100,
-                   seed: int = 0) -> HillResult:
+                   n_boot: int = 100) -> HillResult:
     """Hill estimate of the CCDF exponent over the top fraction of the sample.
 
     Also reports the estimate at top_fraction, /2 and /4; a systematic rise
@@ -265,9 +239,9 @@ def hill_estimator(samples, top_fraction: float = 0.01, *,
     x = x[np.isfinite(x) & (x > 0)]
     n = len(x)
     kt = int(n * top_fraction)
-    if kt < min_tail:
+    if kt < HILL_MIN_TAIL:
         raise ValueError(f"only {kt} tail samples above the cut; "
-                         f"need >= {min_tail}")
+                         f"need >= {HILL_MIN_TAIL}")
 
     def hill_at(kk):
         tail = x[n - kk:]
@@ -275,7 +249,7 @@ def hill_estimator(samples, top_fraction: float = 0.01, *,
         return 1.0 / np.mean(np.log(tail / u)), u
 
     idx, thr = hill_at(kt)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(HILL_BOOT_SEED)
     logr = np.log(x[n - kt:] / thr)
     boots = 1.0 / np.array([np.mean(rng.choice(logr, size=kt, replace=True))
                             for _ in range(n_boot)])

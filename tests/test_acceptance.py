@@ -155,8 +155,7 @@ class TestAcceptance:
     def test_09_threshold_behavior(self):
         t0 = time.time()
         ch = osc.c_hat()
-        cfg = sim.IntegratorConfig(scheme="strang_split", dt=0.01,
-                                   t_end=200.0, record_stride=100,
+        cfg = sim.IntegratorConfig(dt=0.01, t_end=200.0, record_stride=100,
                                    substep_cap=50.0)
         x0 = State4(1.0, -1.0, 0.5, 0.5)
         slopes = {}
@@ -215,14 +214,15 @@ class TestAcceptance:
 
     @pytest.mark.slow
     def test_11_stationary_tail_exponent(self):
-        # long gate (~hours): k = 2, t_hot = 0.3 so zeta_star ~ 0.839;
-        # Hill on pooled stationary H samples within +-30%
+        # long gate (998 s measured on a 2-vCPU VM; currently FAILS with
+        # Hill 1.380 against the band [0.587, 1.090], see ROADMAP item 1):
+        # k = 2, t_hot = 0.3 so zeta_star ~ 0.839; Hill on pooled
+        # stationary H samples within +-30%
         ch = osc.c_hat()
         p = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=0.3, k=2.0)
         zs = rd.zeta_star(p.alpha, ch, p.t_hot)
-        cfg = sim.IntegratorConfig(scheme="strang_split", dt=0.005,
-                                   t_end=0.0, record_stride=10 ** 9,
-                                   substep_cap=50.0)
+        cfg = sim.IntegratorConfig(dt=0.005, t_end=0.0,
+                                   record_stride=10 ** 9, substep_cap=50.0)
         h_of = sim.obs_energy(p)
         burn_steps = int(round(1000.0 / cfg.dt))
         gap_steps = int(round(25.0 / cfg.dt))
@@ -237,4 +237,6 @@ class TestAcceptance:
         hill = sim.hill_estimator(samples, 0.01)
         ok = abs(hill.index - zs) <= 0.3 * zs
         _report(11, ok, f"stationary H tail index {hill.index:.3f} vs "
-                        f"zeta_star = {zs:.3f} (+-30%), n = {samples.size}")
+                        f"zeta_star = {zs:.3f} (+-30%), n = {samples.size}, "
+                        f"index by fraction {hill.index_by_fraction}, "
+                        f"heavy_tail = {hill.heavy_tail}")

@@ -119,6 +119,16 @@ class TestExitCodes:
         assert err.startswith("configuration error:") and "densty" in err
         assert not (out / "report.json").exists()
 
+    def test_integrator_scheme_key_is_exit_1(self, tmp_path, capsys):
+        # Strang splitting is the only scheme; even its old name is rejected
+        code, out = run(tmp_path, "simulate",
+                        "integrator.scheme = strang_split\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert "'integrator.scheme'" in err
+        assert not (out / "stats.csv").exists()
+
 
 class TestArtifacts:
     def test_manifest_written_and_echoes_config(self, tmp_path):

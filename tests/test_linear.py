@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from duobath import linear as ln
+from duobath.lyapunov import _jet_qhat
 from duobath.model import ModelParams, State4, v1_prime
 
 
@@ -91,25 +92,32 @@ class TestGramForm:
 
 
 class TestCorrector:
+    """The corrected center of mass Q_hat, read from the jet that the
+    weak-pinning drift family W_smallk composes with V1."""
+
     def test_symmetric_state(self):
-        qh, y = ln.corrector(State4(1.0, 1.0, 0.0, 0.0), params())
-        assert qh == pytest.approx(1.0)
-        assert np.allclose(y, [0, 0, 0])
+        j = _jet_qhat(State4(1.0, 1.0, 0.0, 0.0), params())
+        assert j.value == pytest.approx(1.0)
 
     def test_hand_value(self):
-        qh, y = ln.corrector(State4(1.0, 0.0, 2.0, 4.0), params(gamma=2.0))
-        assert qh == pytest.approx(4.0)
-        assert np.allclose(y, [0.5, 2.0, 4.0])
+        # Q = 1/2, y = (1/2, 2, 4): Q_hat = Q + y_q + (p0 + p1)/gamma = 4
+        j = _jet_qhat(State4(1.0, 0.0, 2.0, 4.0), params(gamma=2.0))
+        assert j.value == pytest.approx(4.0)
+        assert (j.d_q0, j.d_q1, j.d_p0, j.d_p1) == (1.0, 0.0, 0.5, 0.5)
+        assert j.d2_p0 == 0.0 and j.d2_p1 == 0.0
 
     def test_poisson_property_frozen_potential(self):
         # L_Q applied to -<a, y> equals <1, y>/2 - psi(Q), both sides exact
         p = params(alpha=1.7, gamma=2.3)
         m = ln.build_matrices(p)
-        a = ln.corrector_weights(p)
         rng = np.random.default_rng(4)
         for _ in range(50):
             y = rng.normal(size=3)
             Q = rng.normal() * 3
+            # weights of y = (q, p0, p1) in Q_hat: d/dq = d/dq0 - d/dq1
+            j = _jet_qhat(State4(Q + y[0], Q - y[0], y[1], y[2]), p)
+            a = np.array([j.d_q0 - j.d_q1, j.d_p0, j.d_p1])
+            assert j.d_q0 + j.d_q1 == 1.0     # Q enters with unit weight
             v1p = v1_prime(Q, p)
             one = np.array([0.0, 1.0, 1.0])
             # L_Q phi = <A y + v1'(Q) * (-one... drift of y at frozen Q>, grad phi>

@@ -85,7 +85,7 @@ class TestOrbit:
     def test_time_lookup_roundtrip(self):
         orb = osc.build_orbit(1.0, 2.0)
         fr = np.linspace(0.0, 0.999, 173)
-        P, Q = orb.state_at_fraction(fr)
+        P, Q = orb.at_angle(1.0, fr).state()
         t = orb.time_of(P, Q)
         err = np.abs(t / orb.period - fr)
         err = np.minimum(err, 1.0 - err)
@@ -166,9 +166,10 @@ class TestPoisson:
         ref = psi.orbit
         orb2 = osc.build_orbit(E2, k)
         fr = np.linspace(0.013, 0.987, 61)
-        P2, Q2 = orb2.state_at_fraction(fr)
+        P2, Q2 = orb2.at_angle(1.0, fr).state()
         got = value(psi, P2, Q2)
-        want = E2 ** psi.scaling_exponent * value(psi, *ref.state_at_fraction(fr))
+        want = E2 ** psi.scaling_exponent \
+            * value(psi, *ref.at_angle(1.0, fr).state())
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-6
 
     def test_derivative_profiles_vs_two_orbit_fd(self):
@@ -177,7 +178,7 @@ class TestPoisson:
         phi = osc.build_phi(2.0)
         orb = phi.orbit
         fr = np.linspace(0.02, 0.98, 50)
-        P0, Q0 = orb.state_at_fraction(fr)
+        P0, Q0 = orb.at_angle(1.0, fr).state()
         _, dP, dQ, d2P = phi.eval_all(orb.lookup(P0, Q0))
         h = 1e-5
         fd_p = (value(phi, P0 + h, Q0) - value(phi, P0 - h, Q0)) / (2 * h)
@@ -247,13 +248,3 @@ class TestConstants:
     def test_k_const_values(self):
         assert osc.k_const(1.0) == pytest.approx(1.0)
         assert osc.k_const(2.0) == pytest.approx(4.0 / 3.0)
-
-
-class TestExport:
-    def test_csv_columns(self, tmp_path):
-        sol = osc.build_phi(2.0)
-        path = tmp_path / "phi.csv"
-        osc.solution_to_csv(sol, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,Q,P,u0,dP_u0"
-        assert len(path.read_text().splitlines()) == sol.orbit.n + 1

@@ -31,8 +31,8 @@ class TestDeterminism:
 
     def test_nonfinite_raises(self):
         bad = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=3.0)
-        cfg = sim.IntegratorConfig(scheme="euler_maruyama", dt=2.0,
-                                   t_end=40.0, substep_cap=None)
+        # velocity Verlet at dt = 0.5 without halving blows up on q^5 forces
+        cfg = sim.IntegratorConfig(dt=0.5, t_end=40.0, substep_cap=None)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(sim.IntegrationError) as exc:
                 sim.simulate_ensemble(State4(4.0, -4.0, 0, 0), cfg, bad,
@@ -130,11 +130,10 @@ class TestSchemes:
         return (0.5 * (M[2, 2] + M[3, 3]) + 0.5 * (M[0, 0] + M[1, 1])
                 + 0.5 * a * (M[0, 0] - 2 * M[0, 1] + M[1, 1]))
 
-    def _scheme_moment(self, scheme, dt, t):
+    def _scheme_moment(self, dt, t):
         # the k=1 chain is linear, so one step is affine in (state, draws);
         # iterate the exact second-moment recursion of the scheme itself
-        core = sim._strang_core if scheme == "strang_split" else sim._euler_core
-        nd = 4 if scheme == "strang_split" else 2
+        core, nd = sim._strang_core, 4
         G = np.zeros((4, 4))
         zeros = np.zeros((nd, 1))
         for j in range(4):
@@ -157,14 +156,14 @@ class TestSchemes:
         return M
 
     def test_weak_order_euler_and_strang(self):
+        # the Strang split chain, the only scheme, has weak order 2
         t = 2.0
         exact = self._energy_of_moment(self._exact_second_moment(t))
-        for scheme, nominal in (("euler_maruyama", 1.0), ("strang_split", 2.0)):
-            dts = np.array([0.2, 0.1, 0.05, 0.025])
-            errs = [abs(self._energy_of_moment(
-                self._scheme_moment(scheme, dt, t)) - exact) for dt in dts]
-            slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-            assert abs(slope - nominal) < 0.3, (scheme, slope, errs)
+        dts = np.array([0.2, 0.1, 0.05, 0.025])
+        errs = [abs(self._energy_of_moment(self._scheme_moment(dt, t)) - exact)
+                for dt in dts]
+        slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+        assert abs(slope - 2.0) < 0.3, (slope, errs)
 
     def test_energy_bound_supermartingale(self):
         # E H(t) <= H(0) + gamma (T + T_inf) t within 3 standard errors
