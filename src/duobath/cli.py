@@ -26,6 +26,7 @@ from .config import (ConfigError, parse_config_text,
                      write_json)
 from .model import State4
 
+CCDF_POINTS = 200   # log-spaced order statistics written to ccdf.csv
 
 def _fmt(v) -> str:
     return repr(float(v))
@@ -172,10 +173,10 @@ def cmd_tails(args) -> int:
     return 0
 
 
-def _ccdf_rows(samples, n_points: int = 200):
+def _ccdf_rows(samples):
     s = np.sort(np.asarray(samples))
     s = s[s > 0]
-    idx = np.unique(np.geomspace(1, len(s), n_points).astype(int)) - 1
+    idx = np.unique(np.geomspace(1, len(s), CCDF_POINTS).astype(int)) - 1
     return [[s[i], 1.0 - (i + 1) / len(s)] for i in idx]
 
 

@@ -506,23 +506,23 @@ def _jet_g_eps(prof: ForceSurrogate, name: str, x: State4) -> Jet2:
 # ---------------------------------------------------------------------------
 # shell sampling
 
+HI_RATIO = 2.0   # each shell is the band H in [r, HI_RATIO * r]
+# lower ends of the log-uniform oscillator energies; E1_FLOOR keeps the
+# undamped oscillator out of the ball where orbit functions are untrusted
+E0_FLOOR, E1_FLOOR = 1e-2, 2.0
+
+
 @dataclass(frozen=True)
 class ShellSpec:
-    """Sampling band H in [r, hi_ratio*r]; oscillator energies are drawn
-    log-uniformly so both energy axes (one oscillator hot, the other cold)
-    are exercised.  e1_floor keeps the undamped oscillator out of the small
-    ball where scaled orbit functions are untrusted."""
+    """Shell ladder of a verification: bands H in [r, HI_RATIO*r] from
+    r = r0, which verify_sign doubles at most max_doublings times."""
 
     r0: float = 100.0
-    hi_ratio: float = 2.0
-    e1_floor: float = 2.0
-    e0_floor: float = 1e-2
     max_doublings: int = 12
-    use_ptilde: bool = True
 
     def __post_init__(self):
-        if self.r0 <= 0 or self.hi_ratio <= 1:
-            raise ValueError("need r0 > 0 and hi_ratio > 1")
+        if self.r0 <= 0:
+            raise ValueError("need r0 > 0")
 
 
 def _free_energy_state(E, u, k, orbit: Optional[osc.OrbitTable]):
@@ -560,17 +560,17 @@ def _center_of_mass_batch(params, r_hi, m, rng):
 
 
 def _draw_batch(params: ModelParams, r_hi: float, m: int,
-                rng: np.random.Generator, shell: ShellSpec,
+                rng: np.random.Generator,
                 phi: Optional[osc.CenteredSolution],
                 orbit: Optional[osc.OrbitTable]) -> State4:
     """m candidate states below r_hi, before the energy band test."""
     k = params.k
-    e0 = np.exp(rng.uniform(math.log(shell.e0_floor), math.log(r_hi), m))
-    e1 = np.exp(rng.uniform(math.log(shell.e1_floor), math.log(r_hi), m))
+    e0 = np.exp(rng.uniform(math.log(E0_FLOOR), math.log(r_hi), m))
+    e1 = np.exp(rng.uniform(math.log(E1_FLOOR), math.log(r_hi), m))
     u0, u1 = rng.uniform(0, 1, m), rng.uniform(0, 1, m)
     pt, q0, _ = _free_energy_state(e0, u0, k, orbit)
     p1, q1, look1 = _free_energy_state(e1, u1, k, orbit)
-    if phi is not None and shell.use_ptilde:
+    if phi is not None:
         # phi = e1^a u0(angle), read on the stencil that gave (p1, q1)
         p0 = pt + params.alpha * (look1.ratio ** phi.scaling_exponent
                                   * look1.interp(phi.padded[0]))
@@ -588,7 +588,7 @@ MAX_BATCHES = 400      # candidate batches of 4n before the sampler gives up
 
 
 def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
-                 rng: np.random.Generator, shell: ShellSpec,
+                 rng: np.random.Generator,
                  phi: Optional[osc.CenteredSolution] = None) -> State4:
     """Draw n states with H in [r_lo, r_hi].
 
@@ -605,7 +605,7 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
     keep: List[np.ndarray] = []
     kept = 0
     for _ in range(MAX_BATCHES):
-        x = _draw_batch(params, r_hi, 4 * n, rng, shell, phi, orbit)
+        x = _draw_batch(params, r_hi, 4 * n, rng, phi, orbit)
         h = hamiltonian(x, params)
         ok = (h >= r_lo) & (h <= r_hi)
         if np.any(ok):
@@ -706,17 +706,16 @@ def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
     stab_radius = None
     for d in range(shell.max_doublings + 1):
         rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
-        states = sample_shell(params, r, shell.hi_ratio * r, n, rng, shell,
-                              phi=phi)
+        states = sample_shell(params, r, HI_RATIO * r, n, rng, phi=phi)
         s = form.evaluate(states, params)
         if not np.all(np.isfinite(s.drift)):
             raise RuntimeError(
-                f"non-finite drift at shell [{r}, {shell.hi_ratio * r}]")
+                f"non-finite drift at shell [{r}, {HI_RATIO * r}]")
         margins = predicate.margins(s.drift, s.aux, states, params)
         viol = int(np.sum(margins < 0))
         qs = np.quantile(margins, [0.0, 0.01, 0.25, 0.5, 0.75, 1.0])
         res = ShellResult(
-            r_lo=r, r_hi=shell.hi_ratio * r, samples=n, violations=viol,
+            r_lo=r, r_hi=HI_RATIO * r, samples=n, violations=viol,
             worst_margin=float(margins.min()),
             margin_quantiles={"min": float(qs[0]), "q01": float(qs[1]),
                               "q25": float(qs[2]), "q50": float(qs[3]),
@@ -780,14 +779,12 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
     sup_w1, inf_w2, shells_checked = [], [], []
     viol_w1 = viol_w2 = 0
     samples_last = 0
-    # sup/inf comparisons live on thin level sets H ~ R; the drift checks use
-    # the full band
-    thin = ShellSpec(r0=shell.r0, hi_ratio=1.05, e1_floor=shell.e1_floor,
-                     e0_floor=shell.e0_floor, use_ptilde=shell.use_ptilde)
     for i, r in enumerate(ladder):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i, 77)))
-        level = sample_shell(params, r, 1.05 * r, n, rng, thin, phi=phi)
-        shells_checked.append((r, shell.hi_ratio * r))
+        # sup/inf comparisons live on thin level sets H ~ R; the drift checks
+        # use the full band
+        level = sample_shell(params, r, 1.05 * r, n, rng, phi=phi)
+        shells_checked.append((r, HI_RATIO * r))
         if log_mode:
             sup_w1.append(float(np.max(w1_form.log_values(level, params))))
             inf_w2.append(float(np.min(w2_form.log_values(level, params))))
@@ -795,8 +792,7 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
             sup_w1.append(float(np.max(w1_form.values(level, params))))
             inf_w2.append(float(np.min(w2_form.values(level, params))))
         if i >= N_SHELLS - 2:
-            states = sample_shell(params, r, shell.hi_ratio * r, n, rng,
-                                  shell, phi=phi)
+            states = sample_shell(params, r, HI_RATIO * r, n, rng, phi=phi)
             s1 = w1_form.evaluate(states, params)
             s2 = w2_form.evaluate(states, params)
             viol_w1 += int(np.sum(s1.drift < 0))

@@ -6,6 +6,10 @@ uniformly time-sampled orbits, orbit averages, and centred solutions u of the
 transport equation du/dt = g along the orbit.  Off-orbit values come from the
 exact scaling of the homogeneous potential, so they are only trusted outside
 a small ball around the origin (where the smooth constructions would differ).
+
+The orbit is closed form: time from Q = 0 along a quarter orbit is
+(T/4) I_x(1/(2k), 1/2) at the potential share x = |Q|^(2k)/(2kE) of the
+energy, I the regularized incomplete beta function (DLMF 8.17).
 """
 
 from __future__ import annotations
@@ -15,13 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, betainc, betaincinv
 
 DEFAULT_NODES = 4096
 CLOSURE_TOL = 1e-10
 ENERGY_FLOOR = 1e-12
-NEWTON_ITERS = 3     # Newton refinements of each inverted angle
 CENTRED_TOL = 1e-8   # |orbit mean| / rms above which a rhs is not centred
 
 
@@ -44,10 +46,6 @@ def orbit_period(E: float, k: float) -> float:
     if k <= 0:
         raise ValueError("exponent must be positive")
     return 4 * q_max(E, k) / math.sqrt(2 * E) * beta_fn(1 / (2 * k), 0.5) / (2 * k)
-
-
-def _force(q, k):
-    return -q * np.abs(q) ** (2 * k - 2) if k != 1 else -q
 
 
 ORDER = 8   # nodes in the Lagrange stencil of every orbit interpolation
@@ -133,10 +131,6 @@ class OrbitTable:
     ts: np.ndarray
     Q: np.ndarray
     P: np.ndarray
-    # monotone quarter-orbit tables for angle inversion
-    _tq: np.ndarray = field(repr=False, default=None)
-    _qq: np.ndarray = field(repr=False, default=None)
-    _pq: np.ndarray = field(repr=False, default=None)
     padded_pq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -150,30 +144,21 @@ class OrbitTable:
         """Invert the orbit parametrization: time in [0, period) of (P, Q).
 
         (P, Q) must lie on this orbit (callers rescale first).  The quarter
-        orbit is inverted through Q where dQ/dt is safely nonzero and through
-        P near the turning point, then refined by Newton on the interpolated
-        orbit, one stencil per step for both P and Q.
+        time is (T/4) I_x(a, 1/2), a = 1/(2k), at the potential share
+        x = |Q|^(2k)/(2kE) where x <= y, else (T/4)(1 - I_y(1/2, a)) at the
+        kinetic share y = P^2/(2E): the argument is the smaller share, where
+        I is well conditioned.  The signs of P and Q give the quadrant.
         """
-        shape = np.shape(P)
-        P = np.atleast_1d(np.asarray(P, dtype=float)).ravel()
-        Q = np.atleast_1d(np.asarray(Q, dtype=float)).ravel()
-        aq, ap = np.abs(Q), np.abs(P)
-        q_split = self._qq[len(self._qq) // 2]
-
-        use_q = aq <= q_split
-        # P decreases along the quarter orbit: invert on reversed arrays
-        t = np.where(use_q, np.interp(aq, self._qq, self._tq),
-                     np.interp(-ap, -self._pq, self._tq))
-
-        for _ in range(NEWTON_ITERS):
-            base, w = _stencil(t / self.period, self.n)
-            pi = _gather(self.padded_pq[0], base, w)
-            qi = _gather(self.padded_pq[1], base, w)
-            denom = _force(qi, self.k)
-            step = np.where(use_q, (qi - aq) / np.maximum(pi, 1e-300),
-                            (pi - ap) / np.where(np.abs(denom) > 1e-300,
-                                                 denom, -1e-300))
-            t = np.clip(t - step, 0.0, self.period / 4)
+        P = np.asarray(P, dtype=float)
+        Q = np.asarray(Q, dtype=float)
+        k, E = self.k, self.energy
+        a = 1 / (2 * k)
+        x = np.abs(Q) ** (2 * k) / (2 * k * E)
+        y = P * P / (2 * E)
+        use_x = x <= y
+        ib = betainc(np.where(use_x, a, 0.5), np.where(use_x, 0.5, a),
+                     np.minimum(x, y))
+        t = np.where(use_x, ib, 1.0 - ib) * (self.period / 4)
 
         # fold the quarter time back to the full period by quadrant
         pos_q, pos_p = Q >= 0, P >= 0
@@ -181,7 +166,7 @@ class OrbitTable:
                        np.where(pos_q & ~pos_p, self.period / 2 - t,
                                 np.where(~pos_q & ~pos_p, self.period / 2 + t,
                                          self.period - t)))
-        return np.mod(out, self.period).reshape(shape)
+        return np.mod(out, self.period)
 
     def at_angle(self, ratio, frac) -> AngleLookup:
         """Lookup of states with energy ratio H_f / E_orbit and angle
@@ -202,11 +187,11 @@ class OrbitTable:
 
 
 def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
-    """Integrate one quarter orbit at high order and unfold it by symmetry.
+    """The orbit at energy E on n nodes uniform in time, in closed form.
 
-    The returned nodes are uniform in time over the full period; closure and
-    the zero means of P and Q hold by construction, energy drift is checked
-    against CLOSURE_TOL.
+    Quarter-orbit node j, s = j/(n/4), has Q = q_max I^-1_s(a, 1/2)^a and
+    P = sqrt(2E I^-1_(1-s)(1/2, a)), a = 1/(2k), exact at both turning
+    points; unfolding by symmetry closes the orbit with zero-mean P and Q.
     """
     if E <= 0:
         raise ValueError("energy must be positive")
@@ -215,58 +200,41 @@ def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
     if n % 4:
         raise ValueError("node count must be divisible by 4")
     period = orbit_period(E, k)
-    quarter = period / 4
     nq = n // 4
-    ts_q = np.linspace(0.0, quarter, nq + 1)
-
-    def rhs(_, y):
-        return [y[1], _force(y[0], k)]
-
-    sol = solve_ivp(rhs, (0.0, quarter), [0.0, math.sqrt(2 * E)],
-                    t_eval=ts_q, rtol=1e-12, atol=1e-14, method="DOP853",
-                    dense_output=False)
-    if not sol.success:
-        raise OrbitError(f"quarter-orbit integration failed: {sol.message}")
-    Qq, Pq = sol.y[0], sol.y[1]
-
-    # turning-point consistency is the closure check for the unfolded orbit
-    qm = q_max(E, k)
-    if abs(Pq[-1]) / math.sqrt(2 * E) > 1e-8 or abs(Qq[-1] - qm) / qm > 1e-8:
-        raise OrbitError("orbit failed to close within tolerance")
-    Pq = Pq.copy()
-    Pq[-1] = 0.0
+    a = 1 / (2 * k)
+    s = np.arange(nq + 1) / nq
+    Qq = q_max(E, k) * betaincinv(a, 0.5, s) ** a
+    Pq = np.sqrt(2 * E * betaincinv(0.5, a, 1.0 - s))
 
     energies = Pq ** 2 / 2 + np.abs(Qq) ** (2 * k) / (2 * k)
     drift = np.max(np.abs(energies - E)) / E
-    if drift > CLOSURE_TOL:
+    if not drift <= CLOSURE_TOL:
         raise OrbitError(f"energy drift {drift:.2e} exceeds {CLOSURE_TOL:.0e}")
 
     Q = np.concatenate([Qq[:-1], Qq[::-1][:-1], -Qq[:-1], -Qq[::-1][:-1]])
     P = np.concatenate([Pq[:-1], -Pq[::-1][:-1], -Pq[:-1], Pq[::-1][:-1]])
     ts = np.arange(n) * (period / n)
-    return OrbitTable(k=k, energy=E, period=period, ts=ts, Q=Q, P=P,
-                      _tq=ts_q, _qq=Qq, _pq=Pq)
+    return OrbitTable(k=k, energy=E, period=period, ts=ts, Q=Q, P=P)
 
 
 _orbit_cache: dict = {}
 
 
-def reference_orbit(k: float, n: int = DEFAULT_NODES, E: float = 1.0) -> OrbitTable:
-    key = (round(float(k), 12), n, round(float(E), 12))
+def reference_orbit(k: float, E: float = 1.0) -> OrbitTable:
+    key = (round(float(k), 12), round(float(E), 12))
     if key not in _orbit_cache:
-        _orbit_cache[key] = build_orbit(E, k, n)
+        _orbit_cache[key] = build_orbit(E, k)
     return _orbit_cache[key]
 
 
 def orbit_average(g: Callable, E: float, k: float,
-                  orbit: Optional[OrbitTable] = None,
-                  n: int = DEFAULT_NODES) -> float:
+                  orbit: Optional[OrbitTable] = None) -> float:
     """Time average of g(P, Q) over the closed orbit at energy E.
 
     Uniform-time nodes make the plain mean spectrally accurate for smooth g.
     """
     if orbit is None:
-        orbit = reference_orbit(k, n, E)
+        orbit = reference_orbit(k, E)
     return float(np.mean(g(orbit.P, orbit.Q)))
 
 
@@ -354,8 +322,7 @@ def _orbit_derivatives(orbit: OrbitTable, u: np.ndarray, a: float,
 def solve_poisson(rhs, E_ref: float, k: float, *,
                   rhs_scaling: float,
                   rhs_dP=None,
-                  orbit: Optional[OrbitTable] = None,
-                  n: int = DEFAULT_NODES) -> CenteredSolution:
+                  orbit: Optional[OrbitTable] = None) -> CenteredSolution:
     """Centred u with du/dt = rhs along the orbit at E_ref.
 
     rhs may be a callable g(P, Q) or an array of node values; it must be
@@ -364,7 +331,7 @@ def solve_poisson(rhs, E_ref: float, k: float, *,
     the second-derivative profile.
     """
     if orbit is None:
-        orbit = reference_orbit(k, n, E_ref)
+        orbit = reference_orbit(k, E_ref)
     rhs_nodes = np.asarray(rhs(orbit.P, orbit.Q) if callable(rhs) else rhs,
                            dtype=float)
     scale = max(float(np.sqrt(np.mean(rhs_nodes ** 2))), 1e-300)
@@ -405,41 +372,41 @@ def _check_k_range(k: float):
         raise ValueError("orbit-function constructions support 1 < k <= 2 only")
 
 
-def build_phi(k: float, n: int = DEFAULT_NODES) -> CenteredSolution:
+def build_phi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = Q; scales like H_f^(1/k - 1/2)."""
     _check_k_range(k)
 
     def maker():
-        orbit = reference_orbit(k, n)
+        orbit = reference_orbit(k)
         return solve_poisson(lambda P, Q: Q, 1.0, k,
                              rhs_scaling=1 / (2 * k),
                              rhs_dP=lambda P, Q: np.zeros_like(P),
-                             orbit=orbit, n=n)
+                             orbit=orbit)
 
-    return _cached(("phi", round(k, 12), n), maker)
+    return _cached(("phi", round(k, 12)), maker)
 
 
-def build_psi(k: float, n: int = DEFAULT_NODES) -> CenteredSolution:
+def build_psi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = phi; scales like H_f^(3/(2k) - 1)."""
     _check_k_range(k)
 
     def maker():
-        phi = build_phi(k, n)
+        phi = build_phi(k)
         return solve_poisson(phi.angle_profile, 1.0, k,
                              rhs_scaling=phi.scaling_exponent,
                              rhs_dP=phi.dP_profile,
-                             orbit=phi.orbit, n=n)
+                             orbit=phi.orbit)
 
-    return _cached(("psi", round(k, 12), n), maker)
+    return _cached(("psi", round(k, 12)), maker)
 
 
-def build_xi(k: float, n: int = DEFAULT_NODES) -> CenteredSolution:
+def build_xi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = phi^2 - <phi^2> H_f^(2/k-1);
     scales like H_f^(5/(2k) - 3/2)."""
     _check_k_range(k)
 
     def maker():
-        phi = build_phi(k, n)
+        phi = build_phi(k)
         prof = phi.angle_profile
         c = float(np.mean(prof ** 2))
         # d/dP of (phi^2 - c H_f^(2/k-1)): the energy factor contributes
@@ -448,36 +415,36 @@ def build_xi(k: float, n: int = DEFAULT_NODES) -> CenteredSolution:
         return solve_poisson(prof ** 2 - c, 1.0, k,
                              rhs_scaling=2 / k - 1,
                              rhs_dP=rhs_dp,
-                             orbit=phi.orbit, n=n)
+                             orbit=phi.orbit)
 
-    return _cached(("xi", round(k, 12), n), maker)
+    return _cached(("xi", round(k, 12)), maker)
 
 
-def build_xi_tilde(k: float, n: int = DEFAULT_NODES) -> CenteredSolution:
+def build_xi_tilde(k: float) -> CenteredSolution:
     """Centred solution of du/dt = P^2 - K(k) H_f; scales like
     H_f^(1/2 + 1/(2k))."""
     _check_k_range(k)
 
     def maker():
-        orbit = reference_orbit(k, n)
+        orbit = reference_orbit(k)
         K = k_const(k)
         return solve_poisson(lambda P, Q: P * P - K * (P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k)),
                              1.0, k, rhs_scaling=1.0,
                              rhs_dP=lambda P, Q: (2 - K) * P,
-                             orbit=orbit, n=n)
+                             orbit=orbit)
 
-    return _cached(("xi_tilde", round(k, 12), n), maker)
+    return _cached(("xi_tilde", round(k, 12)), maker)
 
 
-def phi_mean_square(k: float, n: int = DEFAULT_NODES) -> float:
+def phi_mean_square(k: float) -> float:
     """Orbit average of phi^2 at energy 1 for general exponent in (1, 2]."""
-    phi = build_phi(k, n)
+    phi = build_phi(k)
     return float(np.mean(phi.angle_profile ** 2))
 
 
-def c_hat(n: int = DEFAULT_NODES) -> float:
+def c_hat() -> float:
     """The critical coupling constant at k = 2: orbit average of phi^2.
 
     Energy independent because phi scales like H_f^0 at k = 2.
     """
-    return phi_mean_square(2.0, n)
+    return phi_mean_square(2.0)

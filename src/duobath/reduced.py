@@ -18,6 +18,7 @@ from scipy.special import gamma as gamma_fn, gammaincc
 
 from .model import ModelParams
 
+ISCLOSE_TOL = 1e-12   # relative tolerance of the regime-boundary tests
 
 class NoInvariantMeasure(Exception):
     """The requested regime admits no stationary probability measure."""
@@ -72,8 +73,8 @@ class RateRow:
         return asdict(self)
 
 
-def _isclose(a, b, tol=1e-12):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _isclose(a, b):
+    return abs(a - b) <= ISCLOSE_TOL * max(1.0, abs(a), abs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,8 @@ def stationary_density(rp: ReducedParams) -> StationaryDensity:
 # simulation
 
 def simulate_reduced(rp: ReducedParams, dt: float, t_end: float,
-                     n_paths: int, seed: int, x0: float = 1.0,
-                     _collect=None) -> np.ndarray:
-    """Euler-Maruyama with per-step mirror reflection at X = 1.
+                     n_paths: int, seed: int, _collect=None) -> np.ndarray:
+    """Euler-Maruyama from X = 1 with per-step mirror reflection at X = 1.
 
     Noise is drawn from counter-based substreams keyed on (seed, step), so a
     path's column is deterministic under the (seed, path index) contract.
@@ -146,7 +146,7 @@ def simulate_reduced(rp: ReducedParams, dt: float, t_end: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = int(round(t_end / dt))
-    x = np.full(n_paths, float(x0))
+    x = np.ones(n_paths)
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     sq = math.sqrt(2.0 * dt)
     for step in range(n_steps):

@@ -1,6 +1,10 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and the
+CLI's import graph leaves out the scipy packages it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,12 @@ def test_checker_flags_an_unused_import():
     tree = ast.parse("import json\nimport math\nfrom x import (a, b as c)\n"
                      "y = math.pi + a\n")
     assert _unused_imports(tree) == [(1, "json"), (3, "c")]
+
+
+def test_cli_import_loads_no_ode_solver_or_optimizer():
+    code = ("import sys, duobath.cli; print(' '.join(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(duobath.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == []

@@ -201,10 +201,8 @@ class TestBuiltFields:
         spec = ly.TestFunctionSpec("V_k2", {"theta": -0.08, "c": 0.9,
                                             "E": 1e4})
         form = ly.build_test_function(spec, P2)
-        shell = ly.ShellSpec(r0=1e5)
         rng = np.random.default_rng(7)
-        st = ly.sample_shell(P2, 1e5, 2e5, 10_000, rng, shell,
-                             phi=form._phi_hint)
+        st = ly.sample_shell(P2, 1e5, 2e5, 10_000, rng, phi=form._phi_hint)
         v = form.values(st, P2)
         h = hamiltonian(st, P2)
         assert np.all(v >= (1 - 0.9) / 2 * h)
@@ -239,20 +237,18 @@ class TestSolutionJets:
 
 class TestShellSampler:
     def test_energy_window_and_floors(self):
-        shell = ly.ShellSpec(r0=1e4, e1_floor=2.0)
         phi = osc.build_phi(2.0)
         rng = np.random.default_rng(0)
-        st = ly.sample_shell(P2, 1e4, 2e4, 5000, rng, shell, phi=phi)
+        st = ly.sample_shell(P2, 1e4, 2e4, 5000, rng, phi=phi)
         h = hamiltonian(st, P2)
         assert np.all((h >= 1e4) & (h <= 2e4))
         e1 = np.asarray(st.p1) ** 2 / 2 + np.asarray(st.q1) ** 4 / 4
-        assert np.min(e1) >= 2.0
+        assert np.min(e1) >= ly.E1_FLOOR
 
     def test_axes_are_covered(self):
-        shell = ly.ShellSpec(r0=1e4)
         phi = osc.build_phi(2.0)
         rng = np.random.default_rng(1)
-        st = ly.sample_shell(P2, 1e4, 2e4, 5000, rng, shell, phi=phi)
+        st = ly.sample_shell(P2, 1e4, 2e4, 5000, rng, phi=phi)
         e1 = np.asarray(st.p1) ** 2 / 2 + np.asarray(st.q1) ** 4 / 4
         # some states nearly all-energy-in-oscillator-1, some the opposite
         assert np.mean(e1 > 0.9e4) > 0.2
@@ -265,13 +261,12 @@ class TestShellSampler:
             params = P2.with_(k=k)
             phi = osc.build_phi(k)
 
-            def draw(use_ptilde):
+            def draw(corrector):
                 return ly._draw_batch(params, 1e6, 4000,
                                       np.random.default_rng(4),
-                                      ly.ShellSpec(use_ptilde=use_ptilde),
-                                      phi, phi.orbit)
+                                      corrector, phi.orbit)
 
-            x, plain = draw(True), draw(False)
+            x, plain = draw(phi), draw(None)
             got = (x.p0 - plain.p0) / params.alpha
             want = phi.eval_all(phi.orbit.lookup(x.p1, x.q1))[0]
             assert np.max(np.abs(got - want)) < 1e-10

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from duobath import oscillator as osc
 
@@ -56,7 +56,27 @@ class TestOrbit:
         for k in (1.5, 2.0, 3.0):
             orb = osc.build_orbit(1.0, k)
             e = orb.P ** 2 / 2 + np.abs(orb.Q) ** (2 * k) / (2 * k)
-            assert np.max(np.abs(e - 1.0)) < 1e-10
+            assert np.max(np.abs(e - 1.0)) < 1e-14
+            quarter = orb.n // 4
+            assert orb.Q[0] == 0.0 and orb.P[0] == np.sqrt(2.0)
+            assert orb.Q[quarter] == osc.q_max(1.0, k)
+            assert orb.P[quarter] == 0.0
+
+    def test_closed_form_matches_integrated_quarter_orbit(self):
+        # independent reference: the quarter orbit integrated from Q = 0 by
+        # DOP853 at tight tolerances
+        for k in (1.0, 1.5, 2.0, 3.0):
+            for E in (1.0, 16.0):
+                orb = osc.build_orbit(E, k)
+                nq = orb.n // 4
+                sol = solve_ivp(
+                    lambda _, y: [y[1], -y[0] * np.abs(y[0]) ** (2 * k - 2)],
+                    (0.0, orb.period / 4), [0.0, np.sqrt(2 * E)],
+                    t_eval=orb.ts[:nq + 1], rtol=1e-12, atol=1e-14,
+                    method="DOP853")
+                assert sol.success
+                assert np.max(np.abs(orb.Q[:nq + 1] - sol.y[0])) < 1e-10
+                assert np.max(np.abs(orb.P[:nq + 1] - sol.y[1])) < 1e-10
 
     def test_zero_means(self):
         orb = osc.build_orbit(2.0, 2.0)
@@ -83,13 +103,16 @@ class TestOrbit:
             osc.build_orbit(1.0, 2.0, n=130)
 
     def test_time_lookup_roundtrip(self):
-        orb = osc.build_orbit(1.0, 2.0)
-        fr = np.linspace(0.0, 0.999, 173)
-        P, Q = orb.at_angle(1.0, fr).state()
-        t = orb.time_of(P, Q)
-        err = np.abs(t / orb.period - fr)
-        err = np.minimum(err, 1.0 - err)
-        assert np.max(err) < 1e-9
+        # off-node angles plus the four quadrant boundaries
+        fr = np.concatenate([np.linspace(0.0, 0.999, 173),
+                             [0.0, 0.25, 0.5, 0.75]])
+        for k in (1.2, 1.5, 2.0, 3.0):
+            orb = osc.build_orbit(1.0, k)
+            P, Q = orb.at_angle(1.0, fr).state()
+            t = orb.time_of(P, Q)
+            err = np.abs(t / orb.period - fr)
+            err = np.minimum(err, 1.0 - err)
+            assert np.max(err) < 1e-9
 
 
 class TestAverages:
