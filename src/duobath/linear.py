@@ -134,6 +134,10 @@ def g_eps_profile(eps: float, k: float) -> ForceSurrogate:
                          k=k, smoothing="regularized")
     r = 1.0
     for _ in range(40):
+        # G' = -r^(2k-2) on |q| <= r, so such a radius fails the scan below
+        if (sup_d := r ** (2 * k - 2)) > eps:
+            r *= 2.0
+            continue
         prof = ForceSurrogate(eps=eps, k=k, r_eps=r, c_eps=0.0, params=params)
         q = np.linspace(-4 * r, 4 * r, 100_000)
         sup_d = float(np.max(np.abs(prof.g_prime(q))))

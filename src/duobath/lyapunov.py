@@ -510,6 +510,8 @@ HI_RATIO = 2.0   # each shell is the band H in [r, HI_RATIO * r]
 # lower ends of the log-uniform oscillator energies; E1_FLOOR keeps the
 # undamped oscillator out of the ball where orbit functions are untrusted
 E0_FLOOR, E1_FLOOR = 1e-2, 2.0
+# |H_f / E - 1| bound for orbit-table states: 1000x the worst measured error
+ORBIT_ENERGY_TOL = 1e-5   # (7.4e-9 near k = 1.06, 4e-11 at k = 1.5)
 
 
 @dataclass(frozen=True)
@@ -525,17 +527,13 @@ class ShellSpec:
             raise ValueError("need r0 > 0")
 
 
-def _free_energy_state(E, u, k, orbit: Optional[osc.OrbitTable]):
-    """Map (energy, angle fraction) to (P, Q) on the free-oscillator shell,
-    with the angle lookup of those states (None without an orbit)."""
-    if orbit is not None:
-        look = orbit.at_angle(E / orbit.energy, u)
-        return (*look.state(), look)
-    # kinetic-split parametrization (used for k <= 1, no orbit tables)
+def _kinetic_split(E, u, k):
+    """(P, Q) at free energy E and angle fraction u without orbit tables
+    (k <= 1): P = sqrt(2E) cos(2 pi u), |Q|^(2k)/(2k) takes the rest."""
     phi = 2 * np.pi * u
     P = np.sqrt(2 * E) * np.cos(phi)
     Q = np.sign(np.sin(phi)) * (2 * k * E * np.sin(phi) ** 2) ** (1 / (2 * k))
-    return P, Q, None
+    return P, Q
 
 
 def _v1_level(target, params):
@@ -547,41 +545,66 @@ def _v1_level(target, params):
     return (2 * k * target) ** (1 / (2 * k))
 
 
-def _center_of_mass_batch(params, r_hi, m, rng):
+def _center_of_mass_batch(params, r_hi, m, half, rng):
     """States with both positions large and aligned and small fast variables:
-    the dangerous direction of the weak-pinning regime."""
-    h_pot = np.exp(rng.uniform(0.0, math.log(r_hi), m))
-    Q = _v1_level(h_pot / 2.0, params) * rng.choice([-1.0, 1.0], m)
-    spread = np.exp(rng.uniform(math.log(1e-2), math.log(math.sqrt(r_hi)), m))
-    q = spread * rng.standard_normal(m) * 0.5
-    p0 = spread * rng.standard_normal(m)
-    p1 = spread * rng.standard_normal(m)
+    the dangerous direction of the weak-pinning regime; draws m, keeps [half:]."""
+    h_pot = np.exp(rng.uniform(0.0, math.log(r_hi), m)[half:])
+    Q = _v1_level(h_pot / 2.0, params) * rng.choice([-1.0, 1.0], m)[half:]
+    spread = np.exp(rng.uniform(math.log(1e-2), math.log(math.sqrt(r_hi)),
+                                m)[half:])
+    q = spread * rng.standard_normal(m)[half:] * 0.5
+    p0 = spread * rng.standard_normal(m)[half:]
+    p1 = spread * rng.standard_normal(m)[half:]
     return Q + q, Q - q, p0, p1
 
 
-def _draw_batch(params: ModelParams, r_hi: float, m: int,
+def _orbit_states(params, e0, e1, u0, u1, phi, orbit) -> State4:
+    """States on the free orbits at energies (e0, e1) and angle fractions
+    (u0, u1), the damped momentum shifted by alpha * phi."""
+    pt, q0 = orbit.at_angle(e0 / orbit.energy, u0).state()
+    look1 = orbit.at_angle(e1 / orbit.energy, u1)
+    p1, q1 = look1.state()
+    if phi is not None:
+        # phi = e1^a u0(angle), read on the stencil that gave (p1, q1)
+        pt = pt + params.alpha * (look1.ratio ** phi.scaling_exponent
+                                  * look1.interp(phi.padded[0]))
+    return State4(q0=q0, q1=q1, p0=pt, p1=p1)
+
+
+def _squeeze(params, e0, e1, r_lo, r_hi, phi, orbit) -> np.ndarray:
+    """Which orbit candidates can have H in [r_lo, r_hi], from their
+    oscillator energies alone (the bounds are in sample_shell)."""
+    k, tol = params.k, ORBIT_ENERGY_TOL
+    d = 0.0 if phi is None else (
+        params.alpha * (e1 / orbit.energy) ** phi.scaling_exponent
+        * osc.LEBESGUE * np.max(np.abs(phi.angle_profile)))
+    cross = np.sqrt(2 * e0 * (1 + tol)) * d
+    q0_max, q1_max = (2 * k * (1 + tol) * np.stack([e0, e1])) ** (1 / (2 * k))
+    lo = (e0 + e1) * (1 - tol) - cross
+    hi = (v1_eval(q0_max, params) + v1_eval(q1_max, params) + cross
+          + d * d / 2 + params.alpha / 2 * (q0_max + q1_max) ** 2)
+    return (lo <= r_hi) & (hi >= r_lo)
+
+
+def _draw_batch(params: ModelParams, r_lo: float, r_hi: float, m: int,
                 rng: np.random.Generator,
                 phi: Optional[osc.CenteredSolution],
                 orbit: Optional[osc.OrbitTable]) -> State4:
-    """m candidate states below r_hi, before the energy band test."""
-    k = params.k
+    """Of m candidates below r_hi, in draw order, those the band test must
+    see: on orbits the ones the squeeze keeps, for k <= 1 all of them."""
     e0 = np.exp(rng.uniform(math.log(E0_FLOOR), math.log(r_hi), m))
     e1 = np.exp(rng.uniform(math.log(E1_FLOOR), math.log(r_hi), m))
     u0, u1 = rng.uniform(0, 1, m), rng.uniform(0, 1, m)
-    pt, q0, _ = _free_energy_state(e0, u0, k, orbit)
-    p1, q1, look1 = _free_energy_state(e1, u1, k, orbit)
-    if phi is not None:
-        # phi = e1^a u0(angle), read on the stencil that gave (p1, q1)
-        p0 = pt + params.alpha * (look1.ratio ** phi.scaling_exponent
-                                  * look1.interp(phi.padded[0]))
-    else:
-        p0 = pt
-    if k <= 1:
-        qc0, qc1, pc0, pc1 = _center_of_mass_batch(params, r_hi, m, rng)
-        half = m // 2
-        q0[half:], q1[half:] = qc0[half:], qc1[half:]
-        p0[half:], p1[half:] = pc0[half:], pc1[half:]
-    return State4(q0=q0, q1=q1, p0=p0, p1=p1)
+    if orbit is not None:
+        keep = _squeeze(params, e0, e1, r_lo, r_hi, phi, orbit)
+        return _orbit_states(params, e0[keep], e1[keep], u0[keep], u1[keep],
+                             phi, orbit)
+    half = m // 2    # the rest is the aligned center of mass
+    pt, q0 = _kinetic_split(e0[:half], u0[:half], params.k)
+    p1, q1 = _kinetic_split(e1[:half], u1[:half], params.k)
+    qc0, qc1, pc0, pc1 = _center_of_mass_batch(params, r_hi, m, half, rng)
+    return State4(q0=np.concatenate([q0, qc0]), q1=np.concatenate([q1, qc1]),
+                  p0=np.concatenate([pt, pc0]), p1=np.concatenate([p1, pc1]))
 
 
 MAX_BATCHES = 400      # candidate batches of 4n before the sampler gives up
@@ -597,6 +620,14 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
     put the energy into the aligned center of mass with small fast variables.
     The damped momentum is corrected by phi at the undamped oscillator's
     drawn angle, so no angle is inverted.
+
+    On orbits (k > 1) a squeeze rejects candidates from (e0, e1) before any
+    lookup.  Orbit states hold e_i to 1 +- tol (ORBIT_ENERGY_TOL), |alpha phi|
+    <= d = alpha (e1/E_orbit)^a LEBESGUE max|u0|, and V1 - |q|^(2k)/(2k) is >= 0
+    and grows in |q|; so with m_i = (2k e_i (1 + tol))^(1/(2k)) and
+    c = sqrt(2 e0 (1 + tol)) d, (e0 + e1)(1 - tol) - c <= H <= V1(m_0) +
+    V1(m_1) + c + d^2/2 + alpha (m_0 + m_1)^2 / 2.  The accepted states and
+    their order are those of the unfiltered loop.
     """
     if phi is not None:
         orbit = phi.orbit
@@ -605,7 +636,7 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
     keep: List[np.ndarray] = []
     kept = 0
     for _ in range(MAX_BATCHES):
-        x = _draw_batch(params, r_hi, 4 * n, rng, phi, orbit)
+        x = _draw_batch(params, r_lo, r_hi, 4 * n, rng, phi, orbit)
         h = hamiltonian(x, params)
         ok = (h >= r_lo) & (h <= r_hi)
         if np.any(ok):

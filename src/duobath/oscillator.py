@@ -53,6 +53,8 @@ _OFFSETS = np.arange(-(ORDER // 2 - 1), ORDER // 2 + 1)   # -3 .. 4
 # 1 / prod_{b != a} (o_a - o_b): the Lagrange denominators of the stencil
 _INV_DENOM = 1.0 / np.array([np.prod([oa - ob for ob in _OFFSETS if ob != oa])
                              for oa in _OFFSETS], dtype=float)
+# |interpolant| <= LEBESGUE max|profile|: sup of sum |weights|, at mid-cell
+LEBESGUE = 1.48828125
 
 
 def _wrap_pad(values: np.ndarray) -> np.ndarray:

@@ -57,7 +57,10 @@ class Family:
     def describe(self) -> str:
         if self.kind == "none":
             return "---"
-        inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
+        # 12 significant digits: a last-bit move of an exponent is no change
+        inner = ", ".join(
+            f"{k}={float(f'{v:.12g}') if isinstance(v, float) else v}"
+            for k, v in self.params.items())
         return f"{self.kind}({inner})"
 
 

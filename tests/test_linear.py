@@ -160,6 +160,26 @@ class TestForceSurrogate:
         q = np.linspace(-10 * prof.r_eps, 10 * prof.r_eps, 200_001)
         assert np.max(prof.g(q) * v1_prime(q, prof.params)) <= 0.0
 
+    @pytest.mark.parametrize("eps,k", [(0.005, 0.75), (0.1, 0.75),
+                                       (0.2, 0.6), (0.01, 0.9)])
+    def test_radius_search_equals_scan_from_one(self, eps, k):
+        # reference: scan every power-of-two radius from 1, none skipped
+        prof = ln.g_eps_profile(eps, k)
+        r = 1.0
+        for _ in range(40):
+            ref = ln.ForceSurrogate(eps=eps, k=k, r_eps=r, c_eps=0.0,
+                                    params=prof.params)
+            q = np.linspace(-4 * r, 4 * r, 100_000)
+            if float(np.max(np.abs(ref.g_prime(q)))) <= eps:
+                break
+            r *= 2.0
+        qs = np.linspace(-2.5 * r, 2.5 * r, 100_000)
+        v2 = v1_prime(qs, prof.params) ** 2
+        c1 = float(np.max(ref.g(qs) * v1_prime(qs, prof.params) + v2))
+        c2 = float(np.max(ref.g(qs) ** 2 - v2))
+        c_eps = max(c1, c2, 0.0) * (1.0 + 1e-4) + 1e-12
+        assert (prof.r_eps, prof.c_eps) == (r, c_eps)
+
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             ln.g_eps_profile(0.1, 0.4)

@@ -260,16 +260,137 @@ class TestShellSampler:
         for k in (1.5, 2.0):
             params = P2.with_(k=k)
             phi = osc.build_phi(k)
+            rng = np.random.default_rng(4)
+            e0, e1 = np.exp(rng.uniform(0.0, math.log(1e6), (2, 4000)))
+            u0, u1 = rng.uniform(0, 1, (2, 4000))
 
             def draw(corrector):
-                return ly._draw_batch(params, 1e6, 4000,
-                                      np.random.default_rng(4),
-                                      corrector, phi.orbit)
+                return ly._orbit_states(params, e0, e1, u0, u1, corrector,
+                                        phi.orbit)
 
             x, plain = draw(phi), draw(None)
             got = (x.p0 - plain.p0) / params.alpha
             want = phi.eval_all(phi.orbit.lookup(x.p1, x.q1))[0]
             assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _unsqueezed_sample_shell(params, r_lo, r_hi, n, rng, phi=None):
+    """The shell sampler without the squeeze: every candidate is built in
+    full and meets the band test.  The reference the squeeze reproduces."""
+    k = params.k
+    orbit = phi.orbit if phi is not None else (
+        osc.reference_orbit(k) if k > 1 else None)
+    keep, kept, m = [], 0, 4 * n
+    for _ in range(ly.MAX_BATCHES):
+        e0 = np.exp(rng.uniform(math.log(ly.E0_FLOOR), math.log(r_hi), m))
+        e1 = np.exp(rng.uniform(math.log(ly.E1_FLOOR), math.log(r_hi), m))
+        u0, u1 = rng.uniform(0, 1, m), rng.uniform(0, 1, m)
+        if orbit is not None:
+            pt, q0 = orbit.at_angle(e0 / orbit.energy, u0).state()
+            look1 = orbit.at_angle(e1 / orbit.energy, u1)
+            p1, q1 = look1.state()
+        else:
+            pt, q0 = ly._kinetic_split(e0, u0, k)
+            p1, q1 = ly._kinetic_split(e1, u1, k)
+        p0 = pt if phi is None else pt + params.alpha * (
+            look1.ratio ** phi.scaling_exponent * look1.interp(phi.padded[0]))
+        if k <= 1:
+            h_pot = np.exp(rng.uniform(0.0, math.log(r_hi), m))
+            Q = ly._v1_level(h_pot / 2.0, params) * rng.choice([-1.0, 1.0], m)
+            spread = np.exp(rng.uniform(math.log(1e-2),
+                                        math.log(math.sqrt(r_hi)), m))
+            q = spread * rng.standard_normal(m) * 0.5
+            half = m // 2
+            q0[half:], q1[half:] = (Q + q)[half:], (Q - q)[half:]
+            p0[half:] = (spread * rng.standard_normal(m))[half:]
+            p1[half:] = (spread * rng.standard_normal(m))[half:]
+        h = hamiltonian(State4(q0=q0, q1=q1, p0=p0, p1=p1), params)
+        ok = (h >= r_lo) & (h <= r_hi)
+        keep.append(np.stack([q0[ok], q1[ok], p0[ok], p1[ok]]))
+        kept += int(ok.sum())
+        if kept >= n:
+            break
+    cat = np.concatenate(keep, axis=1)[:, :n]
+    return State4(q0=cat[0], q1=cat[1], p0=cat[2], p1=cat[3])
+
+
+def _shell_case(preset, with_phi=True):
+    """(params, phi, r0) of a verification preset."""
+    p = get_preset(preset)
+    phi = osc.build_phi(p.params.k) if with_phi else None
+    return p.params, phi, p.shell.r0
+
+
+SHELL_CASES = {"k2-phi": ("positive-k2", True),
+               "k15-phi": ("frac-k15", True),
+               "k2-no-phi": ("negative-k2-sabotaged", False),
+               "smallk-k075": ("smallk-k075", False),
+               "smallk-k04": ("smallk-k04", False)}
+
+
+class TestShellSqueeze:
+    @pytest.mark.parametrize("case", sorted(SHELL_CASES))
+    def test_equals_unsqueezed_sampler(self, case):
+        params, phi, r0 = _shell_case(*SHELL_CASES[case])
+        for r_lo, r_hi in ((r0 / 64, r0 / 32), (r0, 2 * r0),
+                           (8 * r0, 8.4 * r0)):
+            for seed in (0, 1):
+                rng_a = np.random.default_rng(seed)
+                rng_b = np.random.default_rng(seed)
+                got = ly.sample_shell(params, r_lo, r_hi, 1000, rng_a, phi=phi)
+                want = _unsqueezed_sample_shell(params, r_lo, r_hi, 1000,
+                                                rng_b, phi=phi)
+                for name in ("q0", "q1", "p0", "p1"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name)), (r_lo, name)
+                assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("case", ["k2-phi", "k15-phi", "k2-no-phi"])
+    def test_every_in_band_candidate_survives(self, case):
+        params, phi, r0 = _shell_case(*SHELL_CASES[case])
+        orbit = osc.reference_orbit(params.k)
+        rng = np.random.default_rng(5)
+        for r_lo, r_hi in ((r0, 2 * r0), (r0, 1.05 * r0)):
+            m = 200_000
+            e0 = np.exp(rng.uniform(math.log(ly.E0_FLOOR), math.log(r_hi), m))
+            e1 = np.exp(rng.uniform(math.log(ly.E1_FLOOR), math.log(r_hi), m))
+            u0, u1 = rng.uniform(0, 1, (2, m))
+            h = hamiltonian(ly._orbit_states(params, e0, e1, u0, u1, phi,
+                                             orbit), params)
+            band = (h >= r_lo) & (h <= r_hi)
+            keep = ly._squeeze(params, e0, e1, r_lo, r_hi, phi, orbit)
+            assert band.sum() > 1000
+            assert np.all(keep[band])
+            assert keep.mean() < 0.5
+
+    def test_bound_constants(self):
+        # LEBESGUE bounds sum |w| of the stencil over a cell, and is reached
+        _, w = osc._stencil(np.linspace(0.0, 1.0, 200_001), 1)
+        lam = np.abs(w).sum(axis=0)
+        assert lam.max() <= osc.LEBESGUE
+        assert lam.max() > osc.LEBESGUE - 1e-12
+        # orbit states keep their energy to ORBIT_ENERGY_TOL / 100
+        frac = np.random.default_rng(2).uniform(0, 1, 200_000)
+        for k in (1.06, 1.5, 2.0):
+            P, Q = osc.reference_orbit(k).at_angle(1.0, frac).state()
+            err = np.abs(P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k) - 1.0)
+            assert err.max() <= ly.ORBIT_ENERGY_TOL / 100
+
+    @pytest.mark.parametrize("preset", ["positive-k2", "frac-k15"])
+    def test_few_lookups_per_accepted_state(self, preset, monkeypatch):
+        params, phi, r0 = _shell_case(preset)
+        looked = []
+        at_angle = osc.OrbitTable.at_angle
+
+        def spy(self, ratio, frac):
+            looked.append(np.size(frac))
+            return at_angle(self, ratio, frac)
+
+        monkeypatch.setattr(osc.OrbitTable, "at_angle", spy)
+        n = 5000
+        ly.sample_shell(params, r0, 2 * r0, n, np.random.default_rng(3),
+                        phi=phi)
+        assert 0 < sum(looked) <= 3 * n
 
 
 class TestVerify:

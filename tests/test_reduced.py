@@ -162,3 +162,13 @@ class TestClassifiers:
                 # zeta = (eta - 1)/2 correspondence, exact
                 assert (rp.eta - 1) / 2 == pytest.approx(
                     rd.zeta_star(1.0, CH, th))
+
+
+class TestFamily:
+    def test_describe_ignores_last_bit_moves(self):
+        a = 0.8386747797947538
+        got = [rd.Family("power", {"exponent": e, "pm": "eps"}).describe()
+               for e in (a, a + 1e-13)]
+        assert got == ["power(exponent=0.838674779795, pm=eps)"] * 2
+        assert rd.Family("exp-power", {"exponent": 2.0}).describe() == \
+            "exp-power(exponent=2.0)"
