@@ -7,6 +7,12 @@ for a fixed seed, n_paths and integrator configuration.  Each halving level
 draws one block for all of its paths, so the noise a path sees depends on
 n_paths and on which other paths share its level: the same path in a larger
 ensemble follows a different trajectory.
+
+Step kernel: one Strang step per path and (sub)step, with the forces at the
+end of a substep reused for the first half-kick of the next one, and the
+momentum and position updates done in place on fresh output arrays.  When no
+path needs halving the whole ensemble is stepped at once, with no grouping
+by level.  NoiseStream reseats a single Philox generator per noise block.
 """
 
 from __future__ import annotations
@@ -49,69 +55,95 @@ class IntegratorConfig:
 
 
 class NoiseStream:
-    """Counter-based standard-normal blocks, unique per (step, substep, group)."""
+    """Counter-based standard-normal blocks, unique per (step, substep, group).
+
+    One Philox generator is reseated for each block: its counter is set to
+    [0, sub, (step << 8) | group, 0] with an empty buffer, so every block
+    equals the first draws of a fresh Philox(key, counter=...)."""
 
     def __init__(self, seed: int):
         self.key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        self._bg = np.random.Philox(key=self.key)
+        self._gen = np.random.Generator(self._bg)
+        self._state = self._bg.state    # counter 0, buffer empty
+        self._counter = self._state["state"]["counter"]
 
     def normals(self, step: int, group: int, sub: int, shape) -> np.ndarray:
-        bg = np.random.Philox(key=self.key,
-                              counter=[0, sub, (step << 8) | (group & 0xFF), 0])
-        return np.random.Generator(bg).standard_normal(shape)
+        self._counter[1] = sub
+        self._counter[2] = (step << 8) | (group & 0xFF)
+        self._bg.state = self._state
+        return self._gen.standard_normal(shape)
 
 
-def _strang_core(q0, q1, p0, p1, h, params, z):
+def _strang(q0, q1, p0, p1, f0, f1, h, params, z):
     """One step: OU(h/2) on the momenta, velocity Verlet(h), OU(h/2).
 
     The friction+noise update on p0 is the exact Ornstein-Uhlenbeck kernel;
-    p1 gets an exact Gaussian increment (no friction).
-    """
+    p1 gets an exact Gaussian increment (no friction).  (f0, f1) are the
+    forces at (q0, q1).  Returns the new (q0, q1, p0, p1) in fresh arrays and
+    the forces at the new positions; the inputs are not written to."""
     g, T, Ti = params.gamma, params.t_cold, params.t_hot
     c = math.exp(-g * h / 2)
     s0 = math.sqrt(T * (1 - c * c))
     s1 = math.sqrt(2 * g * Ti * h / 2)
-    p0 = c * p0 + s0 * z[0]
-    p1 = p1 + s1 * z[1]
-    f0, f1 = forces(q0, q1, params)
-    p0 = p0 + 0.5 * h * f0
-    p1 = p1 + 0.5 * h * f1
-    q0 = q0 + h * p0
-    q1 = q1 + h * p1
-    f0, f1 = forces(q0, q1, params)
-    p0 = p0 + 0.5 * h * f0
-    p1 = p1 + 0.5 * h * f1
-    p0 = c * p0 + s0 * z[2]
-    p1 = p1 + s1 * z[3]
-    return q0, q1, p0, p1
+    hh = 0.5 * h
+    a = np.empty_like(p0)
+    P0 = np.multiply(c, p0)                 # p0 = c * p0 + s0 * z[0]
+    P0 += np.multiply(s0, z[0], out=a)
+    P1 = np.multiply(s1, z[1])              # p1 = p1 + s1 * z[1]
+    P1 += p1
+    P0 += np.multiply(hh, f0, out=a)        # p += 0.5 * h * f
+    P1 += np.multiply(hh, f1, out=a)
+    Q0 = np.multiply(h, P0)                 # q = q + h * p
+    Q0 += q0
+    Q1 = np.multiply(h, P1)
+    Q1 += q1
+    f0, f1 = forces(Q0, Q1, params)
+    P0 += np.multiply(hh, f0, out=a)
+    P1 += np.multiply(hh, f1, out=a)
+    P0 *= c                                 # p0 = c * p0 + s0 * z[2]
+    P0 += np.multiply(s0, z[2], out=a)
+    P1 += np.multiply(s1, z[3], out=a)      # p1 = p1 + s1 * z[3]
+    return Q0, Q1, P0, P1, f0, f1
 
 
-def _halvings_needed(q0, q1, params, cfg):
-    if cfg.substep_cap is None:
-        return np.zeros(np.shape(q0), dtype=int)
-    f0, f1 = forces(q0, q1, params)
+def _halving_levels(f0, f1, cfg):
+    """Halvings of cfg.dt each path needs: ceil(log2(|f| / substep_cap)) for
+    the larger force, between 0 and max_halvings; a non-finite force gets
+    max_halvings."""
     mag = np.maximum(np.abs(f0), np.abs(f1))
-    with np.errstate(divide="ignore"):
-        m = np.ceil(np.log2(np.maximum(mag / cfg.substep_cap, 1.0)))
-    return np.clip(m.astype(int), 0, cfg.max_halvings)
+    m = np.ceil(np.log2(np.maximum(mag / cfg.substep_cap, 1.0)))
+    return np.fmin(m, cfg.max_halvings).astype(int)
 
 
 def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
                   params: ModelParams, noise: NoiseStream):
     """Advance every path by cfg.dt, locally halving dt where forces are stiff.
 
-    Paths are grouped by their halving level; each group consumes its own
-    noise blocks, so the draws a path sees depend on (seed, step, level) and
-    on its position among the paths at that level."""
-    m = _halvings_needed(q0, q1, params, cfg)
-    out = [np.array(v, dtype=float, copy=True) for v in (q0, q1, p0, p1)]
-    for level in np.unique(m):
+    When no force exceeds cfg.substep_cap (or halving is off) every path is
+    at level 0 and the whole ensemble takes one step on one noise block.
+    Otherwise paths are grouped by their halving level; each group consumes
+    its own noise blocks, so the draws a path sees depend on (seed, step,
+    level) and on its position among the paths at that level.  The forces
+    of the halving test feed the first half-kick.  Returns fresh arrays; the
+    inputs are not written to."""
+    q0, q1, p0, p1 = (np.asarray(v, dtype=float) for v in (q0, q1, p0, p1))
+    f0, f1 = forces(q0, q1, params)
+    cap = cfg.substep_cap
+    if cap is None or np.max(np.maximum(np.abs(f0), np.abs(f1)),
+                             initial=0.0) / cap <= 1.0:
+        z = noise.normals(step_index, 0, 0, (4, q0.size))
+        return list(_strang(q0, q1, p0, p1, f0, f1, cfg.dt, params, z)[:4])
+    m = _halving_levels(f0, f1, cfg)
+    out = [np.array(v) for v in (q0, q1, p0, p1)]
+    for level in np.unique(m).tolist():
         sel = m == level
-        sub = [v[sel] for v in out]
-        h = cfg.dt / (1 << int(level))
-        for j in range(1 << int(level)):
-            z = noise.normals(step_index, int(level), j, (4, int(sel.sum())))
-            sub = _strang_core(sub[0], sub[1], sub[2], sub[3], h, params, z)
-        for v, s in zip(out, sub):
+        x = [v[sel] for v in (*out, f0, f1)]
+        h = cfg.dt / (1 << level)
+        for j in range(1 << level):
+            z = noise.normals(step_index, level, j, (4, x[0].size))
+            x = _strang(*x, h, params, z)
+        for v, s in zip(out, x[:4]):
             v[sel] = s
     return out
 

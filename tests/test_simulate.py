@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from duobath import simulate as sim
-from duobath.model import ModelParams, State4, hamiltonian
+from duobath.model import (REGULARIZED, ModelParams, State4, forces,
+                           hamiltonian)
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
 PK1 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.5, k=1.0)
@@ -56,27 +58,208 @@ class TestDeterminism:
                               final(8).as_array()[:, :4])
 
 
+# The allocating kernel that step_ensemble replaced, kept as the reference its
+# outputs must equal bit for bit: one fresh Philox per noise block, forces
+# computed afresh at every half-kick, every level grouped and scattered.
+
+def _ref_normals(key, step, group, sub, shape):
+    bg = np.random.Philox(key=key,
+                          counter=[0, sub, (step << 8) | (group & 0xFF), 0])
+    return np.random.Generator(bg).standard_normal(shape)
+
+
+def _ref_strang_core(q0, q1, p0, p1, h, params, z):
+    g, T, Ti = params.gamma, params.t_cold, params.t_hot
+    c = math.exp(-g * h / 2)
+    s0 = math.sqrt(T * (1 - c * c))
+    s1 = math.sqrt(2 * g * Ti * h / 2)
+    p0 = c * p0 + s0 * z[0]
+    p1 = p1 + s1 * z[1]
+    f0, f1 = forces(q0, q1, params)
+    p0 = p0 + 0.5 * h * f0
+    p1 = p1 + 0.5 * h * f1
+    q0 = q0 + h * p0
+    q1 = q1 + h * p1
+    f0, f1 = forces(q0, q1, params)
+    p0 = p0 + 0.5 * h * f0
+    p1 = p1 + 0.5 * h * f1
+    p0 = c * p0 + s0 * z[2]
+    p1 = p1 + s1 * z[3]
+    return q0, q1, p0, p1
+
+
+def _ref_halvings_needed(q0, q1, params, cfg):
+    if cfg.substep_cap is None:
+        return np.zeros(np.shape(q0), dtype=int)
+    f0, f1 = forces(q0, q1, params)
+    mag = np.maximum(np.abs(f0), np.abs(f1))
+    with np.errstate(divide="ignore"):
+        m = np.ceil(np.log2(np.maximum(mag / cfg.substep_cap, 1.0)))
+    return np.clip(m.astype(int), 0, cfg.max_halvings)
+
+
+def _ref_step_ensemble(q0, q1, p0, p1, step_index, cfg, params, key):
+    m = _ref_halvings_needed(q0, q1, params, cfg)
+    out = [np.array(v, dtype=float, copy=True) for v in (q0, q1, p0, p1)]
+    for level in np.unique(m):
+        sel = m == level
+        sub = [v[sel] for v in out]
+        h = cfg.dt / (1 << int(level))
+        for j in range(1 << int(level)):
+            z = _ref_normals(key, step_index, int(level), j,
+                             (4, int(sel.sum())))
+            sub = _ref_strang_core(*sub, h, params, z)
+        for v, s in zip(out, sub):
+            v[sel] = s
+    return out
+
+
+def _levels(x, params, cfg):
+    return set(np.unique(sim._halving_levels(*forces(x[0], x[1], params),
+                                             cfg)).tolist())
+
+
+STIFF = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=2.54, k=2.0)
+STIFF_CFG = sim.IntegratorConfig(dt=0.05, t_end=2.0, substep_cap=10.0,
+                                 max_halvings=3)
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("params, cfg, x0, n, levels", [
+        # halving off, and level 0 only with one path and with many
+        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.002, substep_cap=None),
+         State4(2.0, -2.0, 0.0, 0.0), 64, set()),
+        (P2, sim.IntegratorConfig(dt=0.005, substep_cap=50.0), X0, 64, {0}),
+        (P2, sim.IntegratorConfig(dt=0.005, substep_cap=50.0), X0, 1, {0}),
+        (PK1, sim.IntegratorConfig(dt=0.01), X0, 64, {0}),
+        (P2.with_(k=0.75, smoothing=REGULARIZED),
+         sim.IntegratorConfig(dt=0.01, substep_cap=2.0), X0, 64, {0, 1}),
+        # stiff starts spread the paths over halving levels 0-3 and 0-4
+        (STIFF, STIFF_CFG, State4(2.0, -2.0, 0.0, 0.0), 64, {0, 1, 2, 3}),
+        (STIFF, STIFF_CFG, State4(2.0, -2.0, 0.0, 0.0), 1, {0, 1}),
+        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.01, substep_cap=4.0,
+                                               max_halvings=4),
+         State4(2.0, -2.0, 0.0, 0.0), 64, {0, 1, 2, 3, 4}),
+        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.01, substep_cap=4.0,
+                                               max_halvings=4),
+         State4(2.0, -2.0, 0.0, 0.0), 1, {0, 1, 2, 3, 4}),
+    ])
+    def test_equals_allocating_kernel_bit_for_bit(self, params, cfg, x0, n,
+                                                  levels):
+        seed, n_steps = 11, 40
+        noise = sim.NoiseStream(seed)
+        x = [np.full(n, float(v)) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
+        seen = set()
+        for i in range(n_steps):
+            if cfg.substep_cap is not None:
+                seen |= _levels(x, params, cfg)
+            before = [v.copy() for v in x]
+            got = sim.step_ensemble(*x, i, cfg, params, noise)
+            want = _ref_step_ensemble(*x, i, cfg, params, noise.key)
+            for b, v in zip(before, x):
+                assert np.array_equal(b, v)     # inputs left unchanged
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            x = got
+        assert seen == levels
+
+
 class TestRunPaths:
     def test_run_paths_equals_hand_loop_of_step_ensemble(self):
         # a stiff start at t_hot = 2.54 spreads the paths over halving
         # levels 0-3, so each step draws several noise groups
-        p = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=2.54, k=2.0)
-        cfg = sim.IntegratorConfig(dt=0.05, t_end=2.0, substep_cap=10.0,
-                                   max_halvings=3)
         x0, n, seed, n_steps = State4(2.0, -2.0, 0.0, 0.0), 64, 11, 40
         noise = sim.NoiseStream(seed)
         x = [np.full(n, v) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
         expected, levels = [np.stack(x)], set()
         for i in range(n_steps):
-            levels |= set(np.unique(sim._halvings_needed(x[0], x[1], p,
-                                                         cfg)).tolist())
-            x = sim.step_ensemble(*x, i, cfg, p, noise)
+            levels |= _levels(x, STIFF, STIFF_CFG)
+            x = sim.step_ensemble(*x, i, STIFF_CFG, STIFF, noise)
             expected.append(np.stack(x))
         assert len(levels) >= 3
-        got = list(sim.run_paths(x0, n, seed, n_steps, cfg, p))
+        got = list(sim.run_paths(x0, n, seed, n_steps, STIFF_CFG, STIFF))
         assert [i for i, _ in got] == list(range(n_steps + 1))
         for (_, s), e in zip(got, expected):
             assert np.array_equal(s.as_array(), e)
+
+    @pytest.mark.parametrize("cfg", [STIFF_CFG,
+                                     sim.IntegratorConfig(dt=0.002)])
+    def test_yielded_states_are_not_written_to(self, cfg):
+        held = [(s, s.as_array()) for _, s in sim.run_paths(
+            State4(2.0, -2.0, 0.0, 0.0), 32, 5, 20, cfg, STIFF)]
+        for s, a in held:
+            assert np.array_equal(s.as_array(), a)
+
+
+class TestHalvingLevels:
+    CFG = sim.IntegratorConfig(substep_cap=50.0, max_halvings=10)
+
+    def test_non_finite_force_takes_max_halvings(self):
+        q0 = np.array([1.0, 1e200, np.nan, 20.0, -np.inf])
+        q1 = np.zeros_like(q0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0, f1 = forces(q0, q1, P2)
+        with np.errstate(all="raise"):     # no cast of inf or NaN to int
+            m = sim._halving_levels(f0, f1, self.CFG)
+        assert m.tolist() == [0, 10, 10, 8, 10]
+
+    def test_finite_levels_unchanged(self):
+        rng = np.random.default_rng(0)
+        q0, q1 = rng.standard_cauchy((2, 10_000))
+        for cfg in (self.CFG, STIFF_CFG):
+            m = sim._halving_levels(*forces(q0, q1, P2), cfg)
+            assert np.array_equal(m, _ref_halvings_needed(q0, q1, P2, cfg))
+            assert np.unique(m).tolist() == list(range(cfg.max_halvings + 1))
+
+    def test_non_finite_force_is_stepped_at_max_halvings(self):
+        calls = []
+
+        class Spy(sim.NoiseStream):
+            def normals(self, step, group, sub, shape):
+                calls.append((group, sub, shape))
+                return super().normals(step, group, sub, shape)
+
+        cfg = sim.IntegratorConfig(dt=0.01, substep_cap=50.0, max_halvings=2)
+        x = [np.array([1.0, 1e200]), np.zeros(2), np.zeros(2), np.zeros(2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sim.step_ensemble(*x, 0, cfg, P2, Spy(0))
+        assert calls == [(0, 0, (4, 1))] + [(2, j, (4, 1)) for j in range(4)]
+
+
+class TestNoiseStream:
+    def test_reseated_blocks_equal_fresh_philox(self):
+        noise = sim.NoiseStream(42)
+        calls = [(0, 0, 0, (4, 7)), (3, 2, 1, (4, 1)), (0, 0, 0, (4, 7)),
+                 (3, 2, 3, (2, 5)), (1, 0, 0, (4, 4096)), (2 ** 40, 255, 7,
+                 (4, 3)), (1, 1, 0, (13,)), (3, 2, 1, (4, 1))]
+        for step, group, sub, shape in calls:
+            got = noise.normals(step, group, sub, shape)
+            want = _ref_normals(noise.key, step, group, sub, shape)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+class TestPinnedOutputs:
+    """SHA-256 of run_paths' final state (float64, C order) as the allocating
+    kernel above computed it, so the in-place kernel is held to every bit.
+    Keying the noise on path blocks (ROADMAP open item 2) changes these
+    digests on purpose; that change replaces them."""
+
+    @staticmethod
+    def _digest(*args):
+        for _, s in sim.run_paths(*args):
+            pass
+        return hashlib.sha256(s.as_array().tobytes()).hexdigest()
+
+    def test_level_zero_only(self):
+        cfg = sim.IntegratorConfig(dt=0.005, substep_cap=50.0)
+        assert self._digest(X0, 256, 7, 200, cfg, P2) == (
+            "ac24b6fb43847b6d916f6763d64021f79717b18ac953df4742072912b2375bf7")
+
+    def test_stiff_levels_zero_to_three(self):
+        assert self._digest(State4(2.0, -2.0, 0.0, 0.0), 64, 11, 40,
+                            STIFF_CFG, STIFF) == (
+            "34c614b6da785f0ae3cf906b53049b47ae9beaf6c5d7941ce289bb42b08fae75")
 
 
 class TestSchemes:
@@ -133,7 +316,12 @@ class TestSchemes:
     def _scheme_moment(self, dt, t):
         # the k=1 chain is linear, so one step is affine in (state, draws);
         # iterate the exact second-moment recursion of the scheme itself
-        core, nd = sim._strang_core, 4
+        nd = 4
+
+        def core(q0, q1, p0, p1, h, params, z):
+            return sim._strang(q0, q1, p0, p1, *forces(q0, q1, params), h,
+                               params, z)[:4]
+
         G = np.zeros((4, 4))
         zeros = np.zeros((nd, 1))
         for j in range(4):
