@@ -21,6 +21,7 @@ from . import oscillator as osc
 from . import reduced as rd
 from . import simulate as sim
 from . import presets as pre
+from . import lyapunov as ly
 from .config import (ConfigError, parse_config_text,
                      model_from_config, integrator_from_config, manifest,
                      write_json)
@@ -236,28 +237,18 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{', '.join(pre.PRESET_NAMES)}")
     rep = pre.run_preset(name, n=cfg["verify.n"], seed=seed)
-    if hasattr(rep, "hypotheses"):   # two-function report
-        payload = rep.to_dict()
-        payload["preset"] = name
-        write_json(out / "report.json", payload)
-        ok = rep.passed
+    write_json(out / "report.json", {**rep.to_dict(), "preset": name})
+    if isinstance(rep, ly.WonhamReport):
         for h in rep.hypotheses:
             print(("PASS" if h.passed else "FAIL"), "-", h.name)
-        if not ok:
+        if not rep.passed:
             print("two-function criterion not satisfied", file=sys.stderr)
             return 2
         return 0
-    payload = rep.to_dict()
-    payload["preset"] = name
-    write_json(out / "report.json", payload)
     _write_csv(out / "margins.csv",
-               ["r_lo", "r_hi", "samples", "violations", "min", "q01",
-                "q25", "q50", "q75", "max"],
+               ["r_lo", "r_hi", "samples", "violations", *ly.MARGIN_QUANTILES],
                [[s.r_lo, s.r_hi, s.samples, s.violations,
-                 s.margin_quantiles["min"], s.margin_quantiles["q01"],
-                 s.margin_quantiles["q25"], s.margin_quantiles["q50"],
-                 s.margin_quantiles["q75"], s.margin_quantiles["max"]]
-                for s in rep.shells])
+                 *s.margin_quantiles.values()] for s in rep.shells])
     print(f"field: {rep.field}")
     print(f"predicate: {rep.predicate}")
     for sh in rep.shells:

@@ -15,9 +15,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import (REGULARIZED, ModelParams, State4, Jet2, jet_coord,
-                    jet_const, jet_v1, jet_v1_prime, jet_hamiltonian,
-                    jet_power, hamiltonian, generator_of_jet, carre_of_jets,
-                    v1_eval, v1_prime, v1_second)
+                    jet_const, jet_of_coord, jet_v1, jet_v1_prime,
+                    jet_hamiltonian, jet_power, hamiltonian, generator_of_jet,
+                    carre_of_jets, v1_eval, v1_prime, v1_second)
 from . import oscillator as osc
 from .linear import GramForm, ForceSurrogate, build_matrices, build_gram, \
     default_gamma_tilde, g_eps_profile
@@ -37,39 +37,31 @@ class TestFunctionSpec:
             raise ValueError(f"unknown family {self.family!r}")
         _validate_family_params(self.family, dict(self.parameters))
 
-    def p(self, name, default=None):
-        if name in self.parameters:
-            return self.parameters[name]
-        if default is None:
-            raise ValueError(f"family {self.family} needs parameter {name!r}")
-        return default
+    def p(self, name, default):
+        return self.parameters.get(name, default)
 
 
 def _validate_family_params(family: str, p: Dict[str, float]):
-    if family == "V_k2" and not (0 < p.get("c", 0.9) < 1):
+    """Check the values a spec passes; the builders' defaults are valid."""
+    if family == "V_k2" and "c" in p and not 0 < p["c"] < 1:
         raise ValueError("V_k2 requires 0 < c < 1")
-    if family == "W1_nonexist" and not (0 < p.get("zeta", 0.05) < 1):
+    if family == "W1_nonexist" and "zeta" in p and not 0 < p["zeta"] < 1:
         raise ValueError("W1_nonexist requires zeta in (0, 1)")
     if family in ("V_klt2", "W_exp_frac") and "eta_cutoff" in p:
         if p["eta_cutoff"] <= 0:
             raise ValueError("eta_cutoff must be positive")
-    if family == "hatH_smallk" and p.get("delta", 1.0) > 1.0:
+    if family == "hatH_smallk" and "delta" in p and p["delta"] > 1.0:
         raise ValueError("hatH_smallk requires delta <= 1")
 
 
 # ---------------------------------------------------------------------------
 # cutoff profile: quintic bridge, C^2 at both ends
 
-@dataclass(frozen=True)
 class CutoffProfile:
     """Smooth decreasing bridge: 1 on (-inf, 1], 0 on [2, inf)."""
 
-    lo: float = 1.0
-    hi: float = 2.0
-
     def _u(self, s):
-        return np.clip((np.asarray(s, dtype=float) - self.lo)
-                       / (self.hi - self.lo), 0.0, 1.0)
+        return np.clip(np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
 
     def value(self, s):
         u = self._u(s)
@@ -78,13 +70,12 @@ class CutoffProfile:
     def d1(self, s):
         u = self._u(s)
         inside = (u > 0) & (u < 1)
-        return np.where(inside, -30.0 * u ** 2 * (1 - u) ** 2, 0.0) / (self.hi - self.lo)
+        return np.where(inside, -30.0 * u ** 2 * (1 - u) ** 2, 0.0)
 
     def d2(self, s):
         u = self._u(s)
         inside = (u > 0) & (u < 1)
-        return np.where(inside, -60.0 * u * (1 - u) * (1 - 2 * u), 0.0) \
-            / (self.hi - self.lo) ** 2
+        return np.where(inside, -60.0 * u * (1 - u) * (1 - 2 * u), 0.0)
 
 
 CUTOFF = CutoffProfile()
@@ -136,6 +127,7 @@ class PlainForm:
     """
 
     kind = "plain"
+    spec = _phi_hint = None   # build_test_function's spec and phi table
 
     def __init__(self, jet_fn, name: str, h_coeff: float = 0.0,
                  aux_fns: Optional[Dict[str, Callable]] = None):
@@ -177,6 +169,7 @@ class ExpForm:
     = phi'(V) L V + (phi''(V) + phi'(V)^2) Gamma(V, V)."""
 
     kind = "exp"
+    spec = _phi_hint = None
 
     def __init__(self, base: PlainForm, phi, dphi, d2phi, name: str):
         self.base = base
@@ -201,36 +194,34 @@ class ExpForm:
         return np.exp(self.log_values(x, params))
 
 
+def _softmax(G):
+    """exp(G - max G), its sum and log sum exp(G), all over axis 0."""
+    m = G.max(axis=0)
+    w = np.exp(G - m)
+    tot = w.sum(axis=0)
+    return w, tot, m + np.log(tot)
+
+
 class SumExpForm:
     """W = sum_i exp(phi_i(V_i)); L W / W is the softmax-weighted mix of the
     component log-drifts, stable against overflow."""
 
     kind = "exp"
+    spec = _phi_hint = None
 
     def __init__(self, components: Sequence[ExpForm], name: str):
         self.components = list(components)
         self.name = name
 
     def evaluate(self, x: State4, params: ModelParams) -> DriftSample:
-        gs, ratios = [], []
-        for c in self.components:
-            s = c.evaluate(x, params)
-            gs.append(s.aux["log_w"])
-            ratios.append(s.drift)
-        G = np.stack(gs)
-        R = np.stack(ratios)
-        m = G.max(axis=0)
-        w = np.exp(G - m)
-        tot = w.sum(axis=0)
-        ratio = (w * R).sum(axis=0) / tot
-        log_w = m + np.log(tot)
+        samples = [c.evaluate(x, params) for c in self.components]
+        w, tot, log_w = _softmax(np.stack([s.aux["log_w"] for s in samples]))
+        ratio = (w * np.stack([s.drift for s in samples])).sum(axis=0) / tot
         return DriftSample(drift=ratio, aux={"log_w": log_w})
 
     def log_values(self, x, params):
-        gs = [c.phi(c.base.values(x, params)) for c in self.components]
-        G = np.stack(gs)
-        m = G.max(axis=0)
-        return m + np.log(np.exp(G - m).sum(axis=0))
+        return _softmax(np.stack([c.log_values(x, params)
+                                  for c in self.components]))[2]
 
     def values(self, x, params):
         return np.exp(self.log_values(x, params))
@@ -255,7 +246,7 @@ class SolutionTables:
             return {}
         look = self.phi.orbit.lookup(x.p1, x.q1)
         out = {}
-        for name in ("phi", "psi", "xi", "xi_tilde"):
+        for name in ORBIT_SOLUTIONS:
             sol = getattr(self, name)
             if sol is not None:
                 val, dp, dq, d2p = sol.eval_all(look)
@@ -266,27 +257,32 @@ class SolutionTables:
         return out
 
 
+# the orbit solutions, each built by osc.build_<name>, and the SolutionTables
+# fields each family reads
+ORBIT_SOLUTIONS = ("phi", "psi", "xi", "xi_tilde")
+_CORRECTED = ("phi", "psi", "xi")
+_NEEDS = {"tildeH0": ("phi",), "H0_cutoff": _CORRECTED, "V_k2": _CORRECTED,
+          "V_klt2": _CORRECTED, "W_tail": _CORRECTED + ("xi_tilde",),
+          "W1_nonexist": _CORRECTED, "W_exp_frac": _CORRECTED,
+          "hatH_smallk": ("gram", "g_eps"), "W_smallk": ("gram",),
+          "S_form": ("gram",)}
+
+
 def build_tables(spec: TestFunctionSpec, params: ModelParams) -> SolutionTables:
     """Construct exactly the ingredients the family needs."""
-    fam = spec.family
     t = SolutionTables()
     k = params.k
-    if fam == "tildeH0" and k <= 1:
+    if spec.family == "tildeH0" and k <= 1:
         return t   # harmonic test mode: all corrections absent
-    if fam in ("tildeH0", "H0_cutoff", "V_k2", "V_klt2", "W_tail",
-               "W1_nonexist", "W_exp_frac"):
-        t.phi = osc.build_phi(k)
-    if fam in ("H0_cutoff", "V_k2", "V_klt2", "W_tail", "W1_nonexist",
-               "W_exp_frac"):
-        t.psi = osc.build_psi(k)
-        t.xi = osc.build_xi(k)
-    if fam == "W_tail":
-        t.xi_tilde = osc.build_xi_tilde(k)
-    if fam in ("hatH_smallk", "W_smallk", "S_form"):
+    needs = _NEEDS.get(spec.family, ())
+    for name in ORBIT_SOLUTIONS:
+        if name in needs:
+            setattr(t, name, getattr(osc, "build_" + name)(k))
+    if "gram" in needs:
         m = build_matrices(params)
-        A = m.A_tilde if spec.parameters.get("variant", 0.0) == 4 else m.A
+        A = m.A_tilde if spec.p("variant", 0.0) == 4 else m.A
         t.gram = build_gram(A, default_gamma_tilde(A))
-    if fam == "hatH_smallk":
+    if "g_eps" in needs:
         t.g_eps = g_eps_profile(spec.p("eps", 0.05), k)
     return t
 
@@ -352,6 +348,18 @@ def _jet_v_klt2(x, params, sj, theta, eta_cutoff) -> Jet2:
             - c_t * (pt * sj["psi"] * cut))
 
 
+def _linear(c):
+    """(phi, phi', phi'') of the exponent phi(v) = c v."""
+    return (lambda v: c * v, lambda v: c * np.ones_like(v),
+            lambda v: np.zeros_like(v))
+
+
+def _power(c, a):
+    """(phi, phi', phi'') of the exponent phi(v) = c v^a."""
+    return (lambda v: c * v ** a, lambda v: c * a * v ** (a - 1),
+            lambda v: c * a * (a - 1) * v ** (a - 2))
+
+
 def build_test_function(spec: TestFunctionSpec, params: ModelParams):
     """Assemble the drift form for a named family.
 
@@ -360,8 +368,7 @@ def build_test_function(spec: TestFunctionSpec, params: ModelParams):
     """
     tables = build_tables(spec, params)
     form = _build_form(spec, params, tables)
-    form._phi_hint = tables.phi     # lets shell samplers align with p-tilde
-    form.spec = spec
+    form.spec, form._phi_hint = spec, tables.phi
     return form
 
 
@@ -431,20 +438,13 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
         base = PlainForm(
             lambda x, p: _jet_v_klt2(x, p, tables.jets(x), theta, eta),
             name="V_klt2", h_coeff=1.0)
-        return ExpForm(base,
-                       phi=lambda v: delta * v ** kap,
-                       dphi=lambda v: delta * kap * v ** (kap - 1),
-                       d2phi=lambda v: delta * kap * (kap - 1) * v ** (kap - 2),
+        return ExpForm(base, *_power(delta, kap),
                        name=f"exp({delta}*V^{kap:.4g})")
 
     if fam == "expH":
         beta = P("beta", 1.0)
         base = PlainForm(lambda x, p: jet_const(0.0), name="H", h_coeff=1.0)
-        return ExpForm(base,
-                       phi=lambda v: beta * v,
-                       dphi=lambda v: beta * np.ones_like(v),
-                       d2phi=lambda v: np.zeros_like(v),
-                       name=f"exp({beta}*H)")
+        return ExpForm(base, *_linear(beta), name=f"exp({beta}*H)")
 
     if fam == "hatH_smallk":
         xi_c, beta0 = P("xi", 8.0), P("beta0", 0.02)
@@ -454,16 +454,13 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
 
         def hat_jet(x, p):
             sy = _jet_ysy(x, tables.gram)
-            g0 = _jet_g_eps(prof, "q0", x)
-            g1 = _jet_g_eps(prof, "q1", x)
+            g0 = jet_of_coord("q0", x, prof.g, prof.g_prime)
+            g1 = jet_of_coord("q1", x, prof.g, prof.g_prime)
             psum = jet_coord("p0", x) + jet_coord("p1", x)
             return w * sy - xi_c * (psum * (g0 + g1))
 
         base = PlainForm(hat_jet, name="hatH", h_coeff=1.0)
-        return ExpForm(base,
-                       phi=lambda v: beta0 * v ** delta,
-                       dphi=lambda v: beta0 * delta * v ** (delta - 1),
-                       d2phi=lambda v: beta0 * delta * (delta - 1) * v ** (delta - 2),
+        return ExpForm(base, *_power(beta0, delta),
                        name=f"exp({beta0}*hatH^{delta})")
 
     if fam == "W_smallk":
@@ -474,19 +471,15 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
                                            lambda v: v1_prime(v, p),
                                            lambda v: v1_second(v, p))
 
-        lin = lambda c: (lambda v: c * v, lambda v: c * np.ones_like(v),
-                         lambda v: np.zeros_like(v))
-        pa, da, d2a = lin(beta0)
-        pb, db, d2b = lin(beta0 * lam)
         ea = ExpForm(PlainForm(lambda x, p: _jet_ysy(x, tables.gram), "ySy"),
-                     pa, da, d2a, "exp(b0*ySy)")
-        eb = ExpForm(PlainForm(v1qhat_jet, "V1(Qhat)"), pb, db, d2b,
+                     *_linear(beta0), "exp(b0*ySy)")
+        eb = ExpForm(PlainForm(v1qhat_jet, "V1(Qhat)"), *_linear(beta0 * lam),
                      "exp(b0*lam*V1(Qhat))")
         return SumExpForm([ea, eb],
                           name=f"W_smallk(beta0={beta0}, lambda={lam})")
 
     if fam == "S_form":
-        if spec.parameters.get("variant", 0.0) == 4:
+        if P("variant", 0.0) == 4:
             def jet4(x, p):
                 comps = [jet_coord(n, x) for n in ("q0", "q1", "p0", "p1")]
                 return jet_gram(tables.gram, comps)
@@ -494,13 +487,6 @@ def _build_form(spec: TestFunctionSpec, params: ModelParams,
         return PlainForm(lambda x, p: _jet_ysy(x, tables.gram), name="ySy")
 
     raise ValueError(f"unhandled family {fam!r}")
-
-
-def _jet_g_eps(prof: ForceSurrogate, name: str, x: State4) -> Jet2:
-    q = np.asarray(getattr(x, name), dtype=float)
-    j = Jet2(value=prof.g(q))
-    setattr(j, "d_" + name, prof.g_prime(q))
-    return j
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +642,9 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
 
 VIOLATION_THRESHOLD = 1e-3   # largest violating fraction a passing shell has
 STABLE_RUNS = 3              # equal verdicts in a row that end the doubling
+# name -> level of the margin quantiles each shell reports
+MARGIN_QUANTILES = {"min": 0.0, "q01": 0.01, "q25": 0.25, "q50": 0.5,
+                    "q75": 0.75, "max": 1.0}
 
 
 @dataclass
@@ -730,7 +719,7 @@ def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
     if n < 1000:
         raise ValueError("need at least 1000 samples per shell")
     if phi is None and params.k > 1:
-        phi = getattr(form, "_phi_hint", None)
+        phi = form._phi_hint
     shells: List[ShellResult] = []
     verdicts: List[bool] = []
     r = shell.r0
@@ -744,13 +733,11 @@ def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
                 f"non-finite drift at shell [{r}, {HI_RATIO * r}]")
         margins = predicate.margins(s.drift, s.aux, states, params)
         viol = int(np.sum(margins < 0))
-        qs = np.quantile(margins, [0.0, 0.01, 0.25, 0.5, 0.75, 1.0])
+        qs = np.quantile(margins, list(MARGIN_QUANTILES.values()))
         res = ShellResult(
             r_lo=r, r_hi=HI_RATIO * r, samples=n, violations=viol,
             worst_margin=float(margins.min()),
-            margin_quantiles={"min": float(qs[0]), "q01": float(qs[1]),
-                              "q25": float(qs[2]), "q50": float(qs[3]),
-                              "q75": float(qs[4]), "max": float(qs[5])},
+            margin_quantiles=dict(zip(MARGIN_QUANTILES, map(float, qs))),
             verdict=(viol / n) < VIOLATION_THRESHOLD)
         shells.append(res)
         verdicts.append(res.verdict)
@@ -761,10 +748,9 @@ def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
         r *= 2.0
     stabilized = stab_radius is not None
     final = verdicts[-1] if stabilized else False
-    spec = getattr(form, "spec", None)
     return VerificationReport(
-        field=getattr(form, "name", str(form)), predicate=predicate.name,
-        parameters=dict(spec.parameters) if spec is not None else {},
+        field=form.name, predicate=predicate.name,
+        parameters=dict(form.spec.parameters) if form.spec else {},
         seed=seed, n_per_shell=n,
         violation_threshold=VIOLATION_THRESHOLD, shells=shells,
         stabilized=stabilized, stabilization_radius=stab_radius,
@@ -804,8 +790,9 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
     states (plain scale; use exp-kind forms' ratio checks for exponential
     weights).
     """
-    log_mode = getattr(w1_form, "kind", "plain") == "exp"
-    phi = getattr(w1_form, "_phi_hint", None)
+    log_mode = w1_form.kind == "exp"
+    read = "log_values" if log_mode else "values"   # W1 and W2 on one scale
+    phi = w1_form._phi_hint
     ladder = [shell.r0 * 2 ** i for i in range(N_SHELLS)]
     sup_w1, inf_w2, shells_checked = [], [], []
     viol_w1 = viol_w2 = 0
@@ -816,18 +803,14 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
         # use the full band
         level = sample_shell(params, r, 1.05 * r, n, rng, phi=phi)
         shells_checked.append((r, HI_RATIO * r))
-        if log_mode:
-            sup_w1.append(float(np.max(w1_form.log_values(level, params))))
-            inf_w2.append(float(np.min(w2_form.log_values(level, params))))
-        else:
-            sup_w1.append(float(np.max(w1_form.values(level, params))))
-            inf_w2.append(float(np.min(w2_form.values(level, params))))
+        sup_w1.append(float(np.max(getattr(w1_form, read)(level, params))))
+        inf_w2.append(float(np.min(getattr(w2_form, read)(level, params))))
         if i >= N_SHELLS - 2:
             states = sample_shell(params, r, HI_RATIO * r, n, rng, phi=phi)
             s1 = w1_form.evaluate(states, params)
             s2 = w2_form.evaluate(states, params)
             viol_w1 += int(np.sum(s1.drift < 0))
-            if getattr(w2_form, "kind", "plain") == "exp":
+            if w2_form.kind == "exp":
                 # L W2 <= F on the log scale: ratio <= F/W2
                 logw2 = s2.aux["log_w"]
                 fb = f_bound(states, params)

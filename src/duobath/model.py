@@ -217,11 +217,16 @@ def jet_const(c) -> Jet2:
     return Jet2(value=np.asarray(c, dtype=float))
 
 
-def jet_coord(name: str, x: State4) -> Jet2:
-    val = np.asarray(getattr(x, name), dtype=float)
-    j = Jet2(value=val)
-    setattr(j, "d_" + name, np.ones_like(val))
+def jet_of_coord(name: str, x: State4, f, df, *args) -> Jet2:
+    """Jet of f(q, *args), q = x.name; its one partial is df(q, *args)."""
+    q = np.asarray(getattr(x, name), dtype=float)
+    j = Jet2(value=f(q, *args))
+    setattr(j, "d_" + name, df(q, *args))
     return j
+
+
+def jet_coord(name: str, x: State4) -> Jet2:
+    return jet_of_coord(name, x, lambda q: q, np.ones_like)
 
 
 def jet_power(u: Jet2, a: float) -> Jet2:
@@ -233,17 +238,11 @@ def jet_power(u: Jet2, a: float) -> Jet2:
 
 def jet_v1(name: str, x: State4, params: ModelParams) -> Jet2:
     """V1 of a position coordinate; only the matching q-derivative survives."""
-    q = np.asarray(getattr(x, name), dtype=float)
-    j = Jet2(value=v1_eval(q, params))
-    setattr(j, "d_" + name, v1_prime(q, params))
-    return j
+    return jet_of_coord(name, x, v1_eval, v1_prime, params)
 
 
 def jet_v1_prime(name: str, x: State4, params: ModelParams) -> Jet2:
-    q = np.asarray(getattr(x, name), dtype=float)
-    j = Jet2(value=v1_prime(q, params))
-    setattr(j, "d_" + name, v1_second(q, params))
-    return j
+    return jet_of_coord(name, x, v1_prime, v1_second, params)
 
 
 def jet_hamiltonian(x: State4, params: ModelParams) -> Jet2:

@@ -1,7 +1,7 @@
 """The 1-D surrogate diffusion dX = -eta X^sigma dt + sqrt(2) dW on [1, inf)
-with mirror reflection, its exact stationary laws, the stiffness-exponent ->
-(sigma, eta) reduction, and the regime classifiers for both the surrogate and
-the full chain.
+with mirror reflection, stepped by run_reduced as the chain is by run_paths;
+its exact stationary laws, the stiffness-exponent -> (sigma, eta) reduction,
+and the regime classifiers for both the surrogate and the full chain.
 
 Speed/integrability families carry computable exponents only; the rate
 constants themselves depend on fine details of the model and are kept
@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from typing import Iterator, Tuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from .model import ModelParams
+from .simulate import check_finite
 
 ISCLOSE_TOL = 1e-12   # relative tolerance of the regime-boundary tests
 
@@ -139,28 +141,43 @@ def stationary_density(rp: ReducedParams) -> StationaryDensity:
 # ---------------------------------------------------------------------------
 # simulation
 
-def simulate_reduced(rp: ReducedParams, dt: float, t_end: float,
-                     n_paths: int, seed: int, _collect=None) -> np.ndarray:
-    """Euler-Maruyama from X = 1 with per-step mirror reflection at X = 1.
+def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
+                seed: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """Euler-Maruyama from X = 1 with per-step mirror reflection at X = 1,
+    so X >= 1 and the drift is eta X^sigma.
 
-    Noise is drawn from counter-based substreams keyed on (seed, step), so a
-    path's column is deterministic under the (seed, path index) contract.
+    Yields (steps_done, X) at the start and after every step, like
+    simulate.run_paths; each X is a fresh array.  Noise comes from
+    counter-based substreams keyed on (seed, step), so a path's column is
+    deterministic under the (seed, path index) contract.  Raises
+    IntegrationError at the first step that leaves a path non-finite.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(t_end / dt))
     x = np.ones(n_paths)
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     sq = math.sqrt(2.0 * dt)
+    yield 0, x
     for step in range(n_steps):
         bg = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, step, 0]))
         xi = bg.standard_normal(n_paths)
-        x = x - rp.eta * np.sign(x) * np.abs(x) ** rp.sigma * dt + sq * xi
+        x = x - rp.eta * x ** rp.sigma * dt + sq * xi
         below = x < 1.0
         if np.any(below):
             x[below] = 2.0 - x[below]
-        if _collect is not None:
-            _collect(step, x)
+        check_finite((step + 1) * dt, x)
+        yield step + 1, x
+
+
+def _n_steps(span: float, dt: float) -> int:
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return int(round(span / dt))
+
+
+def simulate_reduced(rp: ReducedParams, dt: float, t_end: float,
+                     n_paths: int, seed: int) -> np.ndarray:
+    """X of every path at t_end (run_reduced over round(t_end / dt) steps)."""
+    for _, x in run_reduced(rp, dt, _n_steps(t_end, dt), n_paths, seed):
+        pass
     return x
 
 
@@ -174,17 +191,12 @@ def sample_stationary(rp: ReducedParams, dt: float, burn_in: float,
     must cover the square of the largest X the estimate probes; a flat 200
     time units is not enough for tail work.
     """
-    burn_steps = int(round(burn_in / dt))
-    gap_steps = max(1, int(round(snapshot_gap / dt)))
-    total = burn_steps + n_snapshots * gap_steps
-    chunks = []
-
-    def collect(step, x):
-        if step >= burn_steps and (step - burn_steps + 1) % gap_steps == 0:
-            chunks.append(x.copy())
-
-    simulate_reduced(rp, dt, total * dt, n_paths, seed, _collect=collect)
-    return np.concatenate(chunks)
+    burn = _n_steps(burn_in, dt)
+    gap = max(1, _n_steps(snapshot_gap, dt))
+    return np.concatenate([
+        x for i, x in run_reduced(rp, dt, burn + n_snapshots * gap, n_paths,
+                                  seed)
+        if i > burn and (i - burn) % gap == 0])
 
 
 # ---------------------------------------------------------------------------

@@ -162,13 +162,19 @@ def run_paths(x0: State4, n_paths: int, seed: int, n_steps: int,
     yield 0, State4(q0, q1, p0, p1)
     for i in range(n_steps):
         q0, q1, p0, p1 = step_ensemble(q0, q1, p0, p1, i, cfg, params, noise)
-        ok = np.isfinite(q0) & np.isfinite(q1) & np.isfinite(p0) \
-            & np.isfinite(p1)
-        if not ok.all():
-            t, path = (i + 1) * cfg.dt, int(np.flatnonzero(~ok)[0])
-            raise IntegrationError(f"non-finite state in ensemble at t={t:g}, "
-                                   f"path {path}", time=t, path=path)
+        check_finite((i + 1) * cfg.dt, q0, q1, p0, p1)
         yield i + 1, State4(q0, q1, p0, p1)
+
+
+def check_finite(t: float, *coords: np.ndarray) -> None:
+    """Raise IntegrationError naming t and the first non-finite path."""
+    ok = np.isfinite(coords[0])
+    for c in coords[1:]:
+        ok &= np.isfinite(c)
+    if not ok.all():
+        path = int(np.flatnonzero(~ok)[0])
+        raise IntegrationError(f"non-finite state in ensemble at t={t:g}, "
+                               f"path {path}", time=t, path=path)
 
 
 # observables -----------------------------------------------------------------

@@ -76,6 +76,21 @@ class TestExitCodes:
         assert "non-finite state in ensemble at t=" in err and "path " in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverging_reduced_run_is_exit_1_naming_time_and_path(
+            self, tmp_path, capsys):
+        # a drift of -2 X^3 overshoots at dt = 0.1 and the reflection feeds
+        # the overshoot back, so X leaves the floats within a few steps
+        code, out = run(tmp_path, "reduced",
+                        "reduced.eta = 2\nreduced.sigma = 3\n"
+                        "reduced.dt = 0.1\nreduced.t_end = 20\n"
+                        "reduced.n_paths = 1000\nreduced.mode = simulate\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "non-finite state in ensemble at t=" in err and "path " in err
+        assert not (out / "report.json").exists()
+
     def test_bad_config_is_exit_1(self, tmp_path):
         code, _ = run(tmp_path, "constants", "nope.key = 2\n")
         assert code == 1

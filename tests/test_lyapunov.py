@@ -1,5 +1,11 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +15,7 @@ from duobath import oscillator as osc
 from duobath import simulate as sim
 from duobath.model import (ModelParams, State4, hamiltonian, drift_and_noise,
                            apply_generator, jet_hamiltonian)
-from duobath.presets import get_preset, run_preset
+from duobath.presets import PRESET_NAMES, get_preset, run_preset
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
 
@@ -214,6 +220,16 @@ class TestBuiltFields:
             ly.TestFunctionSpec("V_k2", {"c": 1.5})
         with pytest.raises(ValueError):
             ly.TestFunctionSpec("W1_nonexist", {"zeta": 2.0})
+        with pytest.raises(ValueError):
+            ly.TestFunctionSpec("hatH_smallk", {"delta": 1.5})
+        with pytest.raises(ValueError):
+            ly.TestFunctionSpec("V_klt2", {"eta_cutoff": 0.0})
+
+    @pytest.mark.parametrize("family", ly.FAMILIES)
+    def test_builder_defaults_are_valid(self, family):
+        # the validator checks only the values a spec passes, so a spec that
+        # passes none is valid for every family
+        assert ly.TestFunctionSpec(family, {}).parameters == {}
 
 
 class TestSolutionJets:
@@ -453,6 +469,60 @@ class TestWonham:
         assert not rep.passed
         by_name = {h.name: h.passed for h in rep.hypotheses}
         assert not by_name["L W1 >= 0 and L W2 <= F on the outer shells"]
+
+
+class TestPresets:
+    # SHA-256 of json.dumps(run_preset(name, n=1000, seed=5).to_dict(),
+    # sort_keys=True) for the frozen presets.  A deliberate change to a
+    # preset or to the verification arithmetic moves these, and that change
+    # replaces them.
+    PINNED = {
+        "positive-k2":
+            "cb46b38c875db3f0d5e195e6cf33329f52f1202783b994680d74ef422cb5d70d",
+        "negative-k2":
+            "f0de6e7f5a62121b0faad816be13c42c4d8a786a5d516f19dc0ba307fb58c3a6",
+        "negative-k2-sabotaged":
+            "d61676ccd34feab0136b63f3ddd2001cf41f2d9eca10053cf4b45ed40d6fcafb",
+        "frac-k15":
+            "90e404830c52acea2a310d1b092b7b4503dd45f5b90f5b5e552e8225a8a4af80",
+        "smallk-k075":
+            "e1129fd52fb3b8f887efdedcc54c97404608b2eea06116f7da89fed8cb4096b1",
+        "smallk-k04":
+            "83bd4bb4cdc058b695c62ad12597e20743924bd8729a7995dc360c2a1717379e",
+    }
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_report_is_pinned(self, name):
+        rep = run_preset(name, n=1000, seed=5).to_dict()
+        digest = hashlib.sha256(
+            json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PINNED[name]
+
+    def test_every_preset_is_pinned(self):
+        assert sorted(PRESET_NAMES) == sorted(self.PINNED)
+
+    def test_sabotaged_control_differs_only_in_kind(self):
+        base = get_preset("negative-k2")
+        control = get_preset("negative-k2-sabotaged")
+        assert (base.kind, control.kind) == ("wonham", "wonham-sabotaged")
+        # each build makes its own predicate closure, so compare its name
+        assert replace(control, kind="wonham", predicate=base.predicate) \
+            == base
+        assert control.predicate.name == base.predicate.name
+
+    def test_unknown_preset_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown preset 'bogus'"):
+            get_preset("bogus")
+
+    def test_import_builds_no_orbit(self):
+        code = ("import duobath.presets, duobath.oscillator as o; "
+                "print(len(o._orbit_cache), len(o._solution_cache))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ly.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120)
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestSmallKRegimes:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from scipy.integrate import quad
 from duobath import reduced as rd
 from duobath.model import ModelParams
 from duobath.oscillator import c_hat, k_const
+from duobath.simulate import IntegrationError
 
 CH = c_hat()
 
@@ -66,6 +69,76 @@ class TestSimulation:
         ccdf = np.array([(s > x).mean() for x in xs])
         slope = np.polyfit(np.log(xs), np.log(ccdf), 1)[0]
         assert abs(slope + 2.0) < 0.35
+
+
+def _ref_sign_abs_run(rp, dt, n_steps, n_paths, seed):
+    """The surrogate step with the drift read as sign(X) |X|^sigma, valid
+    for any X; the bitwise reference of run_reduced, whose X stays >= 1."""
+    x = np.ones(n_paths)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    sq = math.sqrt(2.0 * dt)
+    out = [x.copy()]
+    for step in range(n_steps):
+        bg = np.random.Generator(np.random.Philox(key=key,
+                                                  counter=[0, 0, step, 0]))
+        xi = bg.standard_normal(n_paths)
+        x = x - rp.eta * np.sign(x) * np.abs(x) ** rp.sigma * dt + sq * xi
+        below = x < 1.0
+        if np.any(below):
+            x[below] = 2.0 - x[below]
+        out.append(x.copy())
+    return out
+
+
+class TestRunReduced:
+    @pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 1.0])
+    def test_equals_sign_abs_step(self, sigma):
+        rp = rd.ReducedParams(eta=1.5, sigma=sigma)
+        want = _ref_sign_abs_run(rp, 0.05, 300, 500, 3)
+        got = list(rd.run_reduced(rp, 0.05, 300, 500, 3))
+        assert [i for i, _ in got] == list(range(301))
+        for (_, x), y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    def test_yielded_states_are_never_written_to(self):
+        rp = rd.ReducedParams(eta=1.0, sigma=-0.5)
+        kept = [(x, x.copy()) for _, x in rd.run_reduced(rp, 0.1, 50, 200, 1)]
+        assert all(np.array_equal(x, c) for x, c in kept)
+        assert len({id(x) for x, _ in kept}) == len(kept)
+
+    def test_simulate_reduced_is_the_last_state(self):
+        rp = rd.ReducedParams(eta=1.0, sigma=0.0)
+        *_, (i, x) = rd.run_reduced(rp, 0.01, 500, 256, 9)
+        assert i == 500
+        assert np.array_equal(rd.simulate_reduced(rp, 0.01, 5.0, 256, 9), x)
+
+    def test_sample_stationary_keeps_every_gap_after_burn_in(self):
+        rp = rd.ReducedParams(eta=3.0, sigma=-1.0)
+        states = [x for _, x in rd.run_reduced(rp, 0.02, 1000 + 4 * 150, 300,
+                                               4)]
+        want = np.concatenate(states[1150::150])
+        got = rd.sample_stationary(rp, dt=0.02, burn_in=20.0, n_paths=300,
+                                   n_snapshots=4, snapshot_gap=3.0, seed=4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_state_raises_with_time_and_path(self):
+        rp = rd.ReducedParams(eta=2.0, sigma=3.0)
+        with pytest.raises(IntegrationError) as exc:
+            rd.simulate_reduced(rp, 0.1, 20.0, 1000, 0)
+        assert exc.value.time > 0 and 0 <= exc.value.path < 1000
+        err = exc.value
+        assert str(err) == (f"non-finite state in ensemble at t={err.time:g}, "
+                            f"path {err.path}")
+
+    def test_non_positive_dt_rejected(self):
+        rp = rd.ReducedParams(eta=1.0, sigma=0.0)
+        for dt in (0.0, -0.01):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                rd.simulate_reduced(rp, dt, 1.0, 10, 0)
+            with pytest.raises(ValueError, match="dt must be positive"):
+                rd.sample_stationary(rp, dt, 1.0, 10, 2, 0.5, 0)
 
 
 class TestClassifiers:
