@@ -17,7 +17,8 @@ import numpy as np
 from .model import (REGULARIZED, ModelParams, State4, Jet2, jet_coord,
                     jet_const, jet_of_coord, jet_v1, jet_v1_prime,
                     jet_hamiltonian, jet_power, hamiltonian, generator_of_jet,
-                    carre_of_jets, v1_eval, v1_prime, v1_second)
+                    carre_of_jets, quintic_bridge, v1_eval, v1_prime,
+                    v1_second)
 from . import oscillator as osc
 from .linear import GramForm, ForceSurrogate, build_matrices, build_gram, \
     default_gamma_tilde, g_eps_profile
@@ -55,34 +56,13 @@ def _validate_family_params(family: str, p: Dict[str, float]):
 
 
 # ---------------------------------------------------------------------------
-# cutoff profile: quintic bridge, C^2 at both ends
-
-class CutoffProfile:
-    """Smooth decreasing bridge: 1 on (-inf, 1], 0 on [2, inf)."""
-
-    def _u(self, s):
-        return np.clip(np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
-
-    def value(self, s):
-        u = self._u(s)
-        return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
-
-    def d1(self, s):
-        u = self._u(s)
-        inside = (u > 0) & (u < 1)
-        return np.where(inside, -30.0 * u ** 2 * (1 - u) ** 2, 0.0)
-
-    def d2(self, s):
-        u = self._u(s)
-        inside = (u > 0) & (u < 1)
-        return np.where(inside, -60.0 * u * (1 - u) * (1 - 2 * u), 0.0)
-
-
-CUTOFF = CutoffProfile()
-
+# cutoff: 1 on (-inf, 1], 0 on [2, inf), C^2 at both ends
 
 def jet_cutoff(u: Jet2) -> Jet2:
-    return u.compose(CUTOFF.value, CUTOFF.d1, CUTOFF.d2)
+    """Jet of 1 - S(v - 1) at the jet's value v, S the quintic bridge;
+    0.0 - S' rather than -S' keeps the derivatives +0.0 outside the blend."""
+    s, d1, d2 = quintic_bridge(u.value - 1.0)
+    return u.chain(1.0 - s, 0.0 - d1, 0.0 - d2)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +531,8 @@ def _orbit_states(params, e0, e1, u0, u1, phi, orbit) -> State4:
     look1 = orbit.at_angle(e1 / orbit.energy, u1)
     p1, q1 = look1.state()
     if phi is not None:
-        # phi = e1^a u0(angle), read on the stencil that gave (p1, q1)
-        pt = pt + params.alpha * (look1.ratio ** phi.scaling_exponent
-                                  * look1.interp(phi.padded[0]))
+        # phi read on the stencil that gave (p1, q1)
+        pt = pt + params.alpha * phi.value(look1)
     return State4(q0=q0, q1=q1, p0=pt, p1=p1)
 
 
@@ -618,7 +597,7 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
     if phi is not None:
         orbit = phi.orbit
     else:
-        orbit = osc.reference_orbit(params.k) if params.k > 1 else None
+        orbit = osc.reference_orbit(params.k, 1.0) if params.k > 1 else None
     keep: List[np.ndarray] = []
     kept = 0
     for _ in range(MAX_BATCHES):
@@ -786,12 +765,12 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
     """Check the four hypotheses of the two-function non-existence criterion
     on a ladder of N_SHELLS doubling shells.
 
-    f_bound(states, params) is the integrability weight F evaluated on
-    states (plain scale; use exp-kind forms' ratio checks for exponential
-    weights).
+    W1 and W2 are plain forms, read and compared on the plain scale (every
+    evidence entry's log_scale is False); f_bound(states, params) is the
+    integrability weight F evaluated on states.
     """
-    log_mode = w1_form.kind == "exp"
-    read = "log_values" if log_mode else "values"   # W1 and W2 on one scale
+    if "exp" in (w1_form.kind, w2_form.kind):
+        raise ValueError("wonham_report checks plain forms only")
     phi = w1_form._phi_hint
     ladder = [shell.r0 * 2 ** i for i in range(N_SHELLS)]
     sup_w1, inf_w2, shells_checked = [], [], []
@@ -803,57 +782,36 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
         # use the full band
         level = sample_shell(params, r, 1.05 * r, n, rng, phi=phi)
         shells_checked.append((r, HI_RATIO * r))
-        sup_w1.append(float(np.max(getattr(w1_form, read)(level, params))))
-        inf_w2.append(float(np.min(getattr(w2_form, read)(level, params))))
+        sup_w1.append(float(np.max(w1_form.values(level, params))))
+        inf_w2.append(float(np.min(w2_form.values(level, params))))
         if i >= N_SHELLS - 2:
             states = sample_shell(params, r, HI_RATIO * r, n, rng, phi=phi)
             s1 = w1_form.evaluate(states, params)
             s2 = w2_form.evaluate(states, params)
             viol_w1 += int(np.sum(s1.drift < 0))
-            if w2_form.kind == "exp":
-                # L W2 <= F on the log scale: ratio <= F/W2
-                logw2 = s2.aux["log_w"]
-                fb = f_bound(states, params)
-                with np.errstate(divide="ignore"):
-                    lhs = np.where(s2.drift > 0,
-                                   np.log(np.maximum(s2.drift, 1e-300)) + logw2,
-                                   -np.inf)
-                viol_w2 += int(np.sum(lhs > fb))
-            else:
-                viol_w2 += int(np.sum(s2.drift > f_bound(states, params)))
+            viol_w2 += int(np.sum(s2.drift > f_bound(states, params)))
             samples_last += n
 
     sup_w1 = np.array(sup_w1)
     inf_w2 = np.array(inf_w2)
-    if log_mode:
-        growth_ok = bool(np.all(np.diff(sup_w1) > 0)
-                         and sup_w1[-1] - sup_w1[0] > math.log(10.0))
-    else:
-        growth_ok = bool(np.all(np.diff(sup_w1) > 0) and sup_w1[-1] > 0
-                         and sup_w1[-1] > 10 * sup_w1[0])
+    growth_ok = bool(np.all(np.diff(sup_w1) > 0) and sup_w1[-1] > 0
+                     and sup_w1[-1] > 10 * sup_w1[0])
     h1 = HypothesisResult(
         "W1 grows along a probe direction", growth_ok,
-        {"sup_w1_per_shell": sup_w1.tolist(), "log_scale": log_mode})
+        {"sup_w1_per_shell": sup_w1.tolist(), "log_scale": False})
 
-    pos_ok = bool(np.all(inf_w2 > 0)) if not log_mode else True
-    h2 = HypothesisResult("W2 positive on large shells", pos_ok,
+    h2 = HypothesisResult("W2 positive on large shells",
+                          bool(np.all(inf_w2 > 0)),
                           {"inf_w2_per_shell": inf_w2.tolist()})
 
-    logr = np.log(np.array(ladder))
-    if log_mode:
-        ratios = sup_w1 - inf_w2
-        dec_ok = bool(np.all(np.diff(ratios) < 0))
-        slope = float(np.polyfit(logr, ratios, 1)[0])
-    else:
-        ratios = sup_w1 / inf_w2
-        # require a monotone decline consistent with a negative power of R
-        slope = float(np.polyfit(logr, np.log(np.maximum(ratios, 1e-300)),
-                                 1)[0])
-        dec_ok = bool(np.all(np.diff(ratios) < 0) and slope < -0.01)
+    ratios = sup_w1 / inf_w2
+    # require a monotone decline consistent with a negative power of R
+    slope = float(np.polyfit(np.log(np.array(ladder)),
+                             np.log(np.maximum(ratios, 1e-300)), 1)[0])
+    dec_ok = bool(np.all(np.diff(ratios) < 0) and slope < -0.01)
     h3 = HypothesisResult("sup W1 / inf W2 decreases with the shell radius",
-                          dec_ok, {"ratios": np.asarray(ratios).tolist(),
-                                   "fit_slope": slope,
-                                   "log_scale": log_mode})
+                          dec_ok, {"ratios": ratios.tolist(),
+                                   "fit_slope": slope, "log_scale": False})
 
     frac1 = viol_w1 / samples_last
     frac2 = viol_w2 / samples_last

@@ -205,7 +205,10 @@ class Jet2:
     def compose(self, f, df, d2f) -> "Jet2":
         """Jet of f(self) given f, f', f'' as callables of the value."""
         v = self.value
-        fv, f1, f2 = f(v), df(v), d2f(v)
+        return self.chain(f(v), df(v), d2f(v))
+
+    def chain(self, fv, f1, f2) -> "Jet2":
+        """Jet of f(self) given f, f', f'' at the value."""
         return Jet2(fv,
                     f1 * self.d_q0, f1 * self.d_q1,
                     f1 * self.d_p0, f1 * self.d_p1,
@@ -234,6 +237,16 @@ def jet_power(u: Jet2, a: float) -> Jet2:
     return u.compose(lambda v: v ** a,
                      lambda v: a * v ** (a - 1),
                      lambda v: a * (a - 1) * v ** (a - 2))
+
+
+def quintic_bridge(u):
+    """S(u) = u^3 (10 - 15 u + 6 u^2) on [0, 1], 0 below and 1 above: the C^2
+    step from 0 to 1, with S' and S'' (0.0 outside (0, 1))."""
+    u = np.clip(u, 0.0, 1.0)
+    inside = (u > 0) & (u < 1)
+    return (u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u),
+            np.where(inside, 30.0 * u ** 2 * (1.0 - u) ** 2, 0.0),
+            np.where(inside, 60.0 * u * (1 - u) * (1 - 2 * u), 0.0))
 
 
 def jet_v1(name: str, x: State4, params: ModelParams) -> Jet2:

@@ -14,6 +14,7 @@ energy, I the regularized incomplete beta function (DLMF 8.17).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -219,14 +220,11 @@ def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
     return OrbitTable(k=k, energy=E, period=period, ts=ts, Q=Q, P=P)
 
 
-_orbit_cache: dict = {}
-
-
-def reference_orbit(k: float, E: float = 1.0) -> OrbitTable:
-    key = (round(float(k), 12), round(float(E), 12))
-    if key not in _orbit_cache:
-        _orbit_cache[key] = build_orbit(E, k)
-    return _orbit_cache[key]
+@functools.cache
+def reference_orbit(k: float, E: float) -> OrbitTable:
+    """The orbit at energy E, built once per (k, E); callers pass both
+    positionally, so one orbit has one cache key."""
+    return build_orbit(E, k)
 
 
 def orbit_average(g: Callable, E: float, k: float,
@@ -278,13 +276,18 @@ class CenteredSolution:
             profiles.append(self.d2P_profile)
         self.padded = _wrap_pad(np.stack(profiles))
 
+    def value(self, look: AngleLookup) -> np.ndarray:
+        """u at the states of an angle lookup on this solution's orbit."""
+        if look.orbit is not self.orbit:
+            raise ValueError("angle lookup was made on another orbit")
+        return (look.ratio ** self.scaling_exponent
+                * look.interp(self.padded[0]))
+
     def eval_all(self, look: AngleLookup):
         """(value, dP, dQ, d2P) at the states of an angle lookup on this
         solution's orbit; d2P is None without its profile."""
-        if look.orbit is not self.orbit:
-            raise ValueError("angle lookup was made on another orbit")
+        val = self.value(look)
         r, a = look.ratio, self.scaling_exponent
-        val = r ** a * look.interp(self.padded[0])
         dp = r ** (a - 0.5) * look.interp(self.padded[1])
         dq = r ** (a - 1 / (2 * self.k)) * look.interp(self.padded[2])
         d2p = (r ** (a - 1.0) * look.interp(self.padded[3])
@@ -358,84 +361,57 @@ def solve_poisson(rhs, E_ref: float, k: float, *,
 
 
 # ---------------------------------------------------------------------------
-# the named solutions and constants
-
-_solution_cache: dict = {}
-
-
-def _cached(key, maker):
-    if key not in _solution_cache:
-        _solution_cache[key] = maker()
-    return _solution_cache[key]
-
+# the named solutions and constants, each built once per k
 
 def _check_k_range(k: float):
     if not (1 < k <= 2):
         raise ValueError("orbit-function constructions support 1 < k <= 2 only")
 
 
+@functools.cache
 def build_phi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = Q; scales like H_f^(1/k - 1/2)."""
     _check_k_range(k)
-
-    def maker():
-        orbit = reference_orbit(k)
-        return solve_poisson(lambda P, Q: Q, 1.0, k,
-                             rhs_scaling=1 / (2 * k),
-                             rhs_dP=lambda P, Q: np.zeros_like(P),
-                             orbit=orbit)
-
-    return _cached(("phi", round(k, 12)), maker)
+    return solve_poisson(lambda P, Q: Q, 1.0, k, rhs_scaling=1 / (2 * k),
+                         rhs_dP=lambda P, Q: np.zeros_like(P),
+                         orbit=reference_orbit(k, 1.0))
 
 
+@functools.cache
 def build_psi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = phi; scales like H_f^(3/(2k) - 1)."""
     _check_k_range(k)
-
-    def maker():
-        phi = build_phi(k)
-        return solve_poisson(phi.angle_profile, 1.0, k,
-                             rhs_scaling=phi.scaling_exponent,
-                             rhs_dP=phi.dP_profile,
-                             orbit=phi.orbit)
-
-    return _cached(("psi", round(k, 12)), maker)
+    phi = build_phi(k)
+    return solve_poisson(phi.angle_profile, 1.0, k,
+                         rhs_scaling=phi.scaling_exponent,
+                         rhs_dP=phi.dP_profile, orbit=phi.orbit)
 
 
+@functools.cache
 def build_xi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = phi^2 - <phi^2> H_f^(2/k-1);
     scales like H_f^(5/(2k) - 3/2)."""
     _check_k_range(k)
-
-    def maker():
-        phi = build_phi(k)
-        prof = phi.angle_profile
-        c = float(np.mean(prof ** 2))
-        # d/dP of (phi^2 - c H_f^(2/k-1)): the energy factor contributes
-        # -c (2/k - 1) P on the reference orbit (vanishes only at k = 2)
-        rhs_dp = 2 * prof * phi.dP_profile - c * (2 / k - 1) * phi.orbit.P
-        return solve_poisson(prof ** 2 - c, 1.0, k,
-                             rhs_scaling=2 / k - 1,
-                             rhs_dP=rhs_dp,
-                             orbit=phi.orbit)
-
-    return _cached(("xi", round(k, 12)), maker)
+    phi = build_phi(k)
+    prof = phi.angle_profile
+    c = float(np.mean(prof ** 2))
+    # d/dP of (phi^2 - c H_f^(2/k-1)): the energy factor contributes
+    # -c (2/k - 1) P on the reference orbit (vanishes only at k = 2)
+    rhs_dp = 2 * prof * phi.dP_profile - c * (2 / k - 1) * phi.orbit.P
+    return solve_poisson(prof ** 2 - c, 1.0, k, rhs_scaling=2 / k - 1,
+                         rhs_dP=rhs_dp, orbit=phi.orbit)
 
 
+@functools.cache
 def build_xi_tilde(k: float) -> CenteredSolution:
     """Centred solution of du/dt = P^2 - K(k) H_f; scales like
     H_f^(1/2 + 1/(2k))."""
     _check_k_range(k)
-
-    def maker():
-        orbit = reference_orbit(k)
-        K = k_const(k)
-        return solve_poisson(lambda P, Q: P * P - K * (P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k)),
-                             1.0, k, rhs_scaling=1.0,
-                             rhs_dP=lambda P, Q: (2 - K) * P,
-                             orbit=orbit)
-
-    return _cached(("xi_tilde", round(k, 12)), maker)
+    K = k_const(k)
+    return solve_poisson(
+        lambda P, Q: P * P - K * (P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k)),
+        1.0, k, rhs_scaling=1.0, rhs_dP=lambda P, Q: (2 - K) * P,
+        orbit=reference_orbit(k, 1.0))
 
 
 def phi_mean_square(k: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from .model import ModelParams
-from .simulate import check_finite
+from .simulate import NoiseStream, check_finite
 
 ISCLOSE_TOL = 1e-12   # relative tolerance of the regime-boundary tests
 
@@ -147,18 +147,17 @@ def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
     so X >= 1 and the drift is eta X^sigma.
 
     Yields (steps_done, X) at the start and after every step, like
-    simulate.run_paths; each X is a fresh array.  Noise comes from
-    counter-based substreams keyed on (seed, step), so a path's column is
-    deterministic under the (seed, path index) contract.  Raises
-    IntegrationError at the first step that leaves a path non-finite.
+    simulate.run_paths; each X is a fresh array.  Noise comes from the
+    chain's NoiseStream, one block per step at counter words (0, step), so a
+    path's column is deterministic under the (seed, path index) contract.
+    Raises IntegrationError at the first step that leaves a path non-finite.
     """
     x = np.ones(n_paths)
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    noise = NoiseStream(seed)
     sq = math.sqrt(2.0 * dt)
     yield 0, x
     for step in range(n_steps):
-        bg = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, step, 0]))
-        xi = bg.standard_normal(n_paths)
+        xi = noise.block(0, step, n_paths)
         x = x - rp.eta * x ** rp.sigma * dt + sq * xi
         below = x < 1.0
         if np.any(below):
@@ -191,6 +190,8 @@ def sample_stationary(rp: ReducedParams, dt: float, burn_in: float,
     must cover the square of the largest X the estimate probes; a flat 200
     time units is not enough for tail work.
     """
+    if n_snapshots < 1:
+        raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
     burn = _n_steps(burn_in, dt)
     gap = max(1, _n_steps(snapshot_gap, dt))
     return np.concatenate([

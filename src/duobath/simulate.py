@@ -12,7 +12,9 @@ Step kernel: one Strang step per path and (sub)step, with the forces at the
 end of a substep reused for the first half-kick of the next one, and the
 momentum and position updates done in place on fresh output arrays.  When no
 path needs halving the whole ensemble is stepped at once, with no grouping
-by level.  NoiseStream reseats a single Philox generator per noise block.
+by level; otherwise a non-finite force is an IntegrationError before any
+substep.  NoiseStream reseats a single Philox generator per noise block, and
+the surrogate (reduced.run_reduced) draws from it too.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ class IntegratorConfig:
 
 
 class NoiseStream:
-    """Counter-based standard-normal blocks, unique per (step, substep, group).
+    """Counter-based standard-normal blocks of one seed, for the chain and
+    the surrogate alike.
 
     One Philox generator is reseated for each block: its counter is set to
-    [0, sub, (step << 8) | group, 0] with an empty buffer, so every block
-    equals the first draws of a fresh Philox(key, counter=...)."""
+    [0, word1, word2, 0] with an empty buffer, so every block equals the
+    first draws of a fresh Philox(key, counter=[0, word1, word2, 0])."""
 
     def __init__(self, seed: int):
         self.key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
@@ -68,11 +71,16 @@ class NoiseStream:
         self._state = self._bg.state    # counter 0, buffer empty
         self._counter = self._state["state"]["counter"]
 
-    def normals(self, step: int, group: int, sub: int, shape) -> np.ndarray:
-        self._counter[1] = sub
-        self._counter[2] = (step << 8) | (group & 0xFF)
+    def block(self, word1: int, word2: int, shape) -> np.ndarray:
+        """Standard normals of the block at counter words (word1, word2)."""
+        self._counter[1] = word1
+        self._counter[2] = word2
         self._bg.state = self._state
         return self._gen.standard_normal(shape)
+
+    def normals(self, step: int, group: int, sub: int, shape) -> np.ndarray:
+        """The chain's block of (step, halving level, substep)."""
+        return self.block(sub, (step << 8) | (group & 0xFF), shape)
 
 
 def _strang(q0, q1, p0, p1, f0, f1, h, params, z):
@@ -110,7 +118,7 @@ def _strang(q0, q1, p0, p1, f0, f1, h, params, z):
 def _halving_levels(f0, f1, cfg):
     """Halvings of cfg.dt each path needs: ceil(log2(|f| / substep_cap)) for
     the larger force, between 0 and max_halvings; a non-finite force gets
-    max_halvings."""
+    max_halvings (step_ensemble raises on one before any substep)."""
     mag = np.maximum(np.abs(f0), np.abs(f1))
     m = np.ceil(np.log2(np.maximum(mag / cfg.substep_cap, 1.0)))
     return np.fmin(m, cfg.max_halvings).astype(int)
@@ -125,15 +133,19 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
     Otherwise paths are grouped by their halving level; each group consumes
     its own noise blocks, so the draws a path sees depend on (seed, step,
     level) and on its position among the paths at that level.  The forces
-    of the halving test feed the first half-kick.  Returns fresh arrays; the
-    inputs are not written to."""
+    of the halving test feed the first half-kick.  A non-finite force there
+    raises check_finite's IntegrationError at t = (step_index + 1) dt, naming
+    the first such path, before any substep.  Returns fresh arrays; the inputs are not
+    written to."""
     q0, q1, p0, p1 = (np.asarray(v, dtype=float) for v in (q0, q1, p0, p1))
     f0, f1 = forces(q0, q1, params)
     cap = cfg.substep_cap
-    if cap is None or np.max(np.maximum(np.abs(f0), np.abs(f1)),
-                             initial=0.0) / cap <= 1.0:
+    if cap is None or (top := np.max(np.maximum(np.abs(f0), np.abs(f1)),
+                                     initial=0.0)) / cap <= 1.0:
         z = noise.normals(step_index, 0, 0, (4, q0.size))
         return list(_strang(q0, q1, p0, p1, f0, f1, cfg.dt, params, z)[:4])
+    if not np.isfinite(top):
+        check_finite((step_index + 1) * cfg.dt, f0, f1)
     m = _halving_levels(f0, f1, cfg)
     out = [np.array(v) for v in (q0, q1, p0, p1)]
     for level in np.unique(m).tolist():
@@ -196,7 +208,7 @@ def obs_free_energy_0(params, phi=None):
     def f(s):
         p = np.asarray(s.p0, dtype=float)
         if phi is not None:
-            p = p - a * phi.eval_all(phi.orbit.lookup(s.p1, s.q1))[0]
+            p = p - a * phi.value(phi.orbit.lookup(s.p1, s.q1))
         return p ** 2 / 2 + np.abs(s.q0) ** (2 * k) / (2 * k)
 
     return f

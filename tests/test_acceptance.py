@@ -31,8 +31,9 @@ def _report(num, ok, detail):
 
 class TestAcceptance:
     def test_01_spectral_constant(self):
-        osc._orbit_cache.clear()
-        osc._solution_cache.clear()
+        for cached in (osc.reference_orbit, osc.build_phi, osc.build_psi,
+                       osc.build_xi, osc.build_xi_tilde):
+            cached.cache_clear()
         t0 = time.time()
         ch = osc.c_hat()
         elapsed = time.time() - t0

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from duobath import linear as ln
 from duobath.lyapunov import _jet_qhat
-from duobath.model import ModelParams, State4, v1_prime
+from duobath.model import ModelParams, State4, quintic_bridge, v1_prime
 
 
 def params(alpha=1.0, gamma=1.0, k=1.0, smoothing="pure-power"):
@@ -132,6 +132,14 @@ class TestForceSurrogate:
         prof = ln.g_eps_profile(0.1, 0.75)
         q = np.array([2.5 * prof.r_eps, -3.0 * prof.r_eps])
         assert np.allclose(prof.g(q), -v1_prime(q, prof.params))
+
+    def test_blend_is_the_quintic_bridge(self):
+        prof = ln.g_eps_profile(0.1, 0.75)
+        q = np.linspace(-2.5, 2.5, 201) * prof.r_eps
+        w = quintic_bridge((np.abs(q) - prof.r_eps) / prof.r_eps)[0]
+        inner = -q * prof.r_eps ** (2 * prof.k - 2)
+        assert np.array_equal(prof.g(q), (1.0 - w) * inner
+                              + w * -v1_prime(q, prof.params))
 
     def test_derivative_bound_on_grid(self):
         prof = ln.g_eps_profile(0.1, 0.75)

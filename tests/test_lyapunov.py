@@ -14,32 +14,49 @@ from duobath import lyapunov as ly
 from duobath import oscillator as osc
 from duobath import simulate as sim
 from duobath.model import (ModelParams, State4, hamiltonian, drift_and_noise,
-                           apply_generator, jet_hamiltonian)
+                           apply_generator, jet_hamiltonian, quintic_bridge)
 from duobath.presets import PRESET_NAMES, get_preset, run_preset
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
 
 
+def _cutoff(s):
+    """The cutoff and its two derivatives at s, read from jet_cutoff."""
+    s = np.asarray(s, dtype=float)
+    j = ly.jet_cutoff(ly.Jet2(value=s, d_p0=np.ones_like(s),
+                              d2_p0=np.zeros_like(s)))
+    return j.value, j.d_p0, j.d2_p0
+
+
 class TestCutoff:
     def test_plateau_and_support(self):
-        c = ly.CUTOFF
         s = np.linspace(-2, 4, 301)
-        v = c.value(s)
+        v, d1, _ = _cutoff(s)
         assert np.all(v[s <= 1.0] == 1.0)
         assert np.all(v[s >= 2.0] == 0.0)
         assert np.all((0.0 <= v) & (v <= 1.0))
-        assert np.all(c.d1(s) <= 0.0)
+        assert np.all(d1 <= 0.0)
 
     def test_c2_matching(self):
-        c = ly.CUTOFF
         h = 1e-6
         for s0 in (1.0, 2.0):
-            assert c.d1(s0 - h) == pytest.approx(c.d1(s0 + h), abs=1e-4)
-            assert c.d2(s0 - h) == pytest.approx(c.d2(s0 + h), abs=1e-2)
+            lo, hi = _cutoff(s0 - h), _cutoff(s0 + h)
+            assert lo[1] == pytest.approx(hi[1], abs=1e-4)
+            assert lo[2] == pytest.approx(hi[2], abs=1e-2)
         # derivative evaluators consistent with the profile
         s = np.linspace(0.5, 2.5, 101)
-        fd = (c.value(s + h) - c.value(s - h)) / (2 * h)
-        assert np.max(np.abs(fd - c.d1(s))) < 1e-8
+        fd = (_cutoff(s + h)[0] - _cutoff(s - h)[0]) / (2 * h)
+        assert np.max(np.abs(fd - _cutoff(s)[1])) < 1e-8
+
+    def test_derivatives_are_positive_zero_outside_the_blend(self):
+        u = np.array([-3.0, -0.0, 0.0, 1.0, 1.5, 1e300])
+        _, d1, d2 = quintic_bridge(u)
+        assert not np.any(np.signbit(d1)) and not np.any(np.signbit(d2))
+        assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
+        j = ly.jet_cutoff(ly.Jet2(value=u + 1.0, d_p0=np.ones_like(u),
+                                  d2_p0=np.ones_like(u)))
+        assert not np.any(np.signbit(j.d_p0)) and np.all(j.d_p0 == 0.0)
+        assert not np.any(np.signbit(j.d2_p0)) and np.all(j.d2_p0 == 0.0)
 
 
 def _fd_check_jets(form, params, states, rtol=1e-5):
@@ -295,7 +312,7 @@ def _unsqueezed_sample_shell(params, r_lo, r_hi, n, rng, phi=None):
     full and meets the band test.  The reference the squeeze reproduces."""
     k = params.k
     orbit = phi.orbit if phi is not None else (
-        osc.reference_orbit(k) if k > 1 else None)
+        osc.reference_orbit(k, 1.0) if k > 1 else None)
     keep, kept, m = [], 0, 4 * n
     for _ in range(ly.MAX_BATCHES):
         e0 = np.exp(rng.uniform(math.log(ly.E0_FLOOR), math.log(r_hi), m))
@@ -364,7 +381,7 @@ class TestShellSqueeze:
     @pytest.mark.parametrize("case", ["k2-phi", "k15-phi", "k2-no-phi"])
     def test_every_in_band_candidate_survives(self, case):
         params, phi, r0 = _shell_case(*SHELL_CASES[case])
-        orbit = osc.reference_orbit(params.k)
+        orbit = osc.reference_orbit(params.k, 1.0)
         rng = np.random.default_rng(5)
         for r_lo, r_hi in ((r0, 2 * r0), (r0, 1.05 * r0)):
             m = 200_000
@@ -388,7 +405,7 @@ class TestShellSqueeze:
         # orbit states keep their energy to ORBIT_ENERGY_TOL / 100
         frac = np.random.default_rng(2).uniform(0, 1, 200_000)
         for k in (1.06, 1.5, 2.0):
-            P, Q = osc.reference_orbit(k).at_angle(1.0, frac).state()
+            P, Q = osc.reference_orbit(k, 1.0).at_angle(1.0, frac).state()
             err = np.abs(P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k) - 1.0)
             assert err.max() <= ly.ORBIT_ENERGY_TOL / 100
 
@@ -452,17 +469,15 @@ class TestVerify:
 
 
 class TestWonham:
-    def test_exp_pair_passes(self):
-        # W1 = exp(H/T), W2 = exp(beta2 H) with 1/T < beta2 < beta
-        beta2, beta = 1.5, 2.0
-        w1 = ly.build_test_function(ly.TestFunctionSpec("expH", {"beta": 1.0}),
-                                    P2)
-        w2 = ly.build_test_function(ly.TestFunctionSpec("expH", {"beta": beta2}),
-                                    P2)
-        f_bound = lambda states, p: beta * hamiltonian(states, p)  # log scale
-        rep = ly.wonham_report(w1, w2, f_bound, P2, ly.ShellSpec(r0=50.0),
-                               n=2000, seed=3)
-        assert rep.passed
+    def test_exp_forms_are_rejected(self):
+        w = ly.build_test_function(ly.TestFunctionSpec("expH", {"beta": 1.0}),
+                                   P2)
+        h = ly.PlainForm(lambda x, p: ly.jet_const(0.0), name="H",
+                         h_coeff=1.0)
+        for w1, w2 in ((w, h), (h, w)):
+            with pytest.raises(ValueError, match="plain forms only"):
+                ly.wonham_report(w1, w2, lambda s, p: 1.0, P2,
+                                 ly.ShellSpec(r0=50.0), n=2000, seed=3)
 
     def test_sabotaged_pair_fails_drift_hypothesis(self):
         rep = run_preset("negative-k2-sabotaged", n=4000, seed=0)
@@ -514,9 +529,31 @@ class TestPresets:
         with pytest.raises(KeyError, match="unknown preset 'bogus'"):
             get_preset("bogus")
 
+    def test_a_run_builds_each_orbit_and_solution_once(self, monkeypatch):
+        for cached in (osc.reference_orbit, osc.build_phi, osc.build_psi,
+                       osc.build_xi, osc.build_xi_tilde):
+            cached.cache_clear()
+        built = []
+        for name in ("build_orbit", "solve_poisson"):
+            def spy(*args, _orig=getattr(osc, name), _name=name, **kw):
+                built.append(_name)
+                return _orig(*args, **kw)
+            monkeypatch.setattr(osc, name, spy)
+        run_preset("negative-k2", n=1000, seed=5)   # c_hat, phi, psi, xi
+        run_preset("negative-k2", n=1000, seed=6)
+        assert built == ["build_orbit"] + ["solve_poisson"] * 3
+        # the k-only builders and the (E, k) callers share one orbit
+        osc.orbit_average(lambda P, Q: P * P, 1.0, 2.0)
+        phi = osc.build_phi(2.0)
+        assert osc.solve_poisson(lambda P, Q: Q, 1.0, 2.0,
+                                 rhs_scaling=0.25).orbit is phi.orbit
+        assert built == ["build_orbit"] + ["solve_poisson"] * 4
+
     def test_import_builds_no_orbit(self):
         code = ("import duobath.presets, duobath.oscillator as o; "
-                "print(len(o._orbit_cache), len(o._solution_cache))")
+                "print(o.reference_orbit.cache_info().currsize, sum("
+                "getattr(o, 'build_' + n).cache_info().currsize "
+                "for n in ('phi', 'psi', 'xi', 'xi_tilde')))")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(ly.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -131,6 +132,25 @@ class TestRunReduced:
         err = exc.value
         assert str(err) == (f"non-finite state in ensemble at t={err.time:g}, "
                             f"path {err.path}")
+
+    def test_zero_snapshots_rejected(self):
+        rp = rd.ReducedParams(eta=1.0, sigma=0.0)
+        with pytest.raises(ValueError, match="n_snapshots must be >= 1"):
+            rd.sample_stationary(rp, 0.1, 1.0, 10, 0, 0.5, 0)
+
+    # SHA-256 of simulate_reduced's final X (float64) as the per-step fresh
+    # Philox generator computed it; the reseated NoiseStream keeps every bit
+    @pytest.mark.parametrize("eta,sigma,dt,t_end,n_paths,seed,digest", [
+        (1.0, -0.5, 0.01, 20.0, 1000, 5,
+         "989485f963d32c624a1a9ebb5a4a51c6e73eab5fc6fe200f931eb8d23330e3cd"),
+        (3.0, -1.0, 0.02, 6.0, 300, 4,
+         "5ab692714d1abb9da661b929536e9af5f437b2a29388300c7a64bf14d8c22f5a"),
+    ])
+    def test_final_state_is_pinned(self, eta, sigma, dt, t_end, n_paths,
+                                   seed, digest):
+        x = rd.simulate_reduced(rd.ReducedParams(eta=eta, sigma=sigma), dt,
+                                t_end, n_paths, seed)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
 
     def test_non_positive_dt_rejected(self):
         rp = rd.ReducedParams(eta=1.0, sigma=0.0)

@@ -211,7 +211,7 @@ class TestHalvingLevels:
             assert np.array_equal(m, _ref_halvings_needed(q0, q1, P2, cfg))
             assert np.unique(m).tolist() == list(range(cfg.max_halvings + 1))
 
-    def test_non_finite_force_is_stepped_at_max_halvings(self):
+    def test_non_finite_force_raises_before_any_substep(self):
         calls = []
 
         class Spy(sim.NoiseStream):
@@ -219,11 +219,16 @@ class TestHalvingLevels:
                 calls.append((group, sub, shape))
                 return super().normals(step, group, sub, shape)
 
-        cfg = sim.IntegratorConfig(dt=0.01, substep_cap=50.0, max_halvings=2)
+        # 2^18 + 1 noise blocks if the inf force were stepped at max_halvings
+        cfg = sim.IntegratorConfig(dt=0.01, substep_cap=50.0, max_halvings=18)
         x = [np.array([1.0, 1e200]), np.zeros(2), np.zeros(2), np.zeros(2)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            sim.step_ensemble(*x, 0, cfg, P2, Spy(0))
-        assert calls == [(0, 0, (4, 1))] + [(2, j, (4, 1)) for j in range(4)]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(sim.IntegrationError) as exc:
+            sim.step_ensemble(*x, 4, cfg, P2, Spy(0))
+        assert calls == []
+        assert (exc.value.time, exc.value.path) == (5 * 0.01, 1)
+        assert str(exc.value) == ("non-finite state in ensemble at t=0.05, "
+                                  "path 1")
 
 
 class TestNoiseStream:
@@ -237,6 +242,14 @@ class TestNoiseStream:
             want = _ref_normals(noise.key, step, group, sub, shape)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    def test_block_is_a_fresh_philox_at_the_counter_words(self):
+        noise = sim.NoiseStream(9)
+        for w1, w2, shape in ((0, 0, 5), (0, 1, 20000), (0, 255, 3),
+                              (0, 256, 3), (0, 70000, 7), (2, 3, (4, 2))):
+            bg = np.random.Philox(key=noise.key, counter=[0, w1, w2, 0])
+            want = np.random.Generator(bg).standard_normal(shape)
+            assert np.array_equal(noise.block(w1, w2, shape), want)
 
 
 class TestPinnedOutputs:
