@@ -8,6 +8,7 @@ into the run manifest.
 
 from __future__ import annotations
 
+import importlib.metadata
 import json
 import platform
 from typing import Dict, Tuple
@@ -152,7 +153,6 @@ def integrator_from_config(cfg: dict) -> IntegratorConfig:
 
 def manifest(command: str, cfg: dict, seed: int, out: str) -> dict:
     import numpy
-    import scipy
 
     from . import __version__
 
@@ -165,7 +165,7 @@ def manifest(command: str, cfg: dict, seed: int, out: str) -> dict:
         "versions": {
             "duobath": __version__,
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
             "python": platform.python_version(),
         },
     }

@@ -150,20 +150,26 @@ def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
     simulate.run_paths; each X is a fresh array.  Noise comes from the
     chain's NoiseStream, one block per step at counter words (0, step), so a
     path's column is deterministic under the (seed, path index) contract.
+    The next step's block is drawn on NoiseStream's helper thread while this
+    one computes, with the same bits, unless it has fewer than
+    simulate.PREFETCH_MIN_DRAWS draws; the helper ends with the run.
     Raises IntegrationError at the first step that leaves a path non-finite.
     """
     x = np.ones(n_paths)
     noise = NoiseStream(seed)
     sq = math.sqrt(2.0 * dt)
-    yield 0, x
-    for step in range(n_steps):
-        xi = noise.block(0, step, n_paths)
-        x = x - rp.eta * x ** rp.sigma * dt + sq * xi
-        below = x < 1.0
-        if np.any(below):
-            x[below] = 2.0 - x[below]
-        check_finite((step + 1) * dt, x)
-        yield step + 1, x
+    try:
+        yield 0, x
+        for step in range(n_steps):
+            if step + 1 < n_steps:
+                noise.prefetch(0, step + 1, n_paths)
+            xi = noise.block(0, step, n_paths)
+            x = x - rp.eta * x ** rp.sigma * dt + sq * xi
+            x = np.maximum(x, 2.0 - x)      # mirror at 1, NaN passes through
+            check_finite((step + 1) * dt, x)
+            yield step + 1, x
+    finally:
+        noise.close()
 
 
 def _n_steps(span: float, dt: float) -> int:

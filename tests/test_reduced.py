@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from duobath import reduced as rd
 from duobath.model import ModelParams
 from duobath.oscillator import c_hat, k_const
-from duobath.simulate import IntegrationError
+from duobath.simulate import PREFETCH_MIN_DRAWS, IntegrationError
 
 CH = c_hat()
 
@@ -138,6 +139,18 @@ class TestRunReduced:
         with pytest.raises(ValueError, match="n_snapshots must be >= 1"):
             rd.sample_stationary(rp, 0.1, 1.0, 10, 0, 0.5, 0)
 
+    def test_above_the_prefetch_floor_equals_fresh_philox_per_step(self):
+        # each step's block is drawn a step ahead on a helper thread
+        rp, n = rd.ReducedParams(eta=1.0, sigma=-0.5), 10_000
+        assert n >= PREFETCH_MIN_DRAWS
+        want = _ref_sign_abs_run(rp, 0.01, 60, n, 5)
+        got = list(rd.run_reduced(rp, 0.01, 60, n, 5))
+        assert len(got) == len(want)
+        for (_, x), y in zip(got, want):
+            assert np.array_equal(x, y)
+        assert np.array_equal(rd.simulate_reduced(rp, 0.01, 0.6, n, 5),
+                              want[-1])
+
     # SHA-256 of simulate_reduced's final X (float64) as the per-step fresh
     # Philox generator computed it; the reseated NoiseStream keeps every bit
     @pytest.mark.parametrize("eta,sigma,dt,t_end,n_paths,seed,digest", [
@@ -159,6 +172,37 @@ class TestRunReduced:
                 rd.simulate_reduced(rp, dt, 1.0, 10, 0)
             with pytest.raises(ValueError, match="dt must be positive"):
                 rd.sample_stationary(rp, dt, 1.0, 10, 2, 0.5, 0)
+
+
+class TestHelperThread:
+    """The helper that draws the next block ends with the run."""
+
+    RP = rd.ReducedParams(eta=1.0, sigma=-0.5)
+    N = 10_000
+
+    def test_ends_when_the_run_is_exhausted(self):
+        base = threading.active_count()
+        rd.simulate_reduced(self.RP, 0.01, 0.1, self.N, 1)
+        assert threading.active_count() == base
+
+    def test_ends_when_the_run_is_closed_early(self):
+        base = threading.active_count()
+        run = rd.run_reduced(self.RP, 0.01, 50, self.N, 1)
+        for i, _ in run:
+            if i == 3:
+                break
+        assert threading.active_count() == base + 1
+        run.close()
+        assert threading.active_count() == base
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_ends_when_the_run_raises(self):
+        base = threading.active_count()
+        with pytest.raises(IntegrationError):
+            rd.simulate_reduced(rd.ReducedParams(eta=2.0, sigma=3.0), 0.1,
+                                20.0, self.N, 0)
+        assert threading.active_count() == base
 
 
 class TestClassifiers:

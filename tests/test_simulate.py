@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +255,214 @@ class TestNoiseStream:
             bg = np.random.Philox(key=noise.key, counter=[0, w1, w2, 0])
             want = np.random.Generator(bg).standard_normal(shape)
             assert np.array_equal(noise.block(w1, w2, shape), want)
+
+
+class TestLookahead:
+    """run_paths draws step i + 1's level-0 block on a helper thread while
+    step i computes.  Its states must equal, bit for bit, a hand loop of
+    step_ensemble on a stream that never prefetches, at ensemble sizes whose
+    level-0 block (4 n_paths draws) is above PREFETCH_MIN_DRAWS."""
+
+    N = 4096
+
+    @pytest.fixture
+    def helper_draws(self, monkeypatch):
+        """Counter words of every block drawn off the caller's thread."""
+        caller, seen = threading.get_ident(), []
+        draw = sim._Reseated.draw
+
+        def spy(self, word1, word2, shape):
+            if threading.get_ident() != caller:
+                seen.append((word1, word2))
+            return draw(self, word1, word2, shape)
+
+        monkeypatch.setattr(sim._Reseated, "draw", spy)
+        return seen
+
+    def _check(self, x0, seed, n_steps, cfg, params, helper_draws):
+        """Compare run_paths with the hand loop; return the halving levels
+        of each step."""
+        assert 4 * self.N >= sim.PREFETCH_MIN_DRAWS
+        noise = sim.NoiseStream(seed)
+        x = [np.full(self.N, float(v)) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
+        expected, levels = [np.stack(x)], []
+        for i in range(n_steps):
+            levels.append(_levels(x, params, cfg))
+            x = sim.step_ensemble(*x, i, cfg, params, noise)
+            expected.append(np.stack(x))
+        assert helper_draws == []       # the hand loop never prefetched
+        got = list(sim.run_paths(x0, self.N, seed, n_steps, cfg, params))
+        assert [i for i, _ in got] == list(range(n_steps + 1))
+        for (_, s), e in zip(got, expected):
+            assert np.array_equal(s.as_array(), e)
+        # every level-0 block after the first is read from the helper; a
+        # stale one may be dropped before the helper starts on it
+        read = {(0, i << 8) for i in range(1, n_steps) if 0 in levels[i]}
+        assert read <= set(helper_draws) <= {(0, i << 8)
+                                             for i in range(1, n_steps)}
+        return levels
+
+    def test_level_zero_steps(self, helper_draws):
+        cfg = sim.IntegratorConfig(dt=0.005, substep_cap=50.0)
+        levels = self._check(X0, 7, 30, cfg, P2, helper_draws)
+        assert all(lv == {0} for lv in levels)
+
+    def test_level_zero_group_reads_a_prefix_of_the_block(self,
+                                                         helper_draws):
+        levels = self._check(State4(2.0, -2.0, 0.0, 0.0), 11, 30, STIFF_CFG,
+                             STIFF, helper_draws)
+        assert any(0 in lv and len(lv) > 1 for lv in levels[1:])
+
+    def test_stale_block_of_a_step_without_level_zero_is_dropped(
+            self, helper_draws):
+        levels = self._check(State4(3.0, -3.0, 0.0, 0.0), 11, 30, STIFF_CFG,
+                             STIFF, helper_draws)
+        stale = [i for i, lv in enumerate(levels) if i and 0 not in lv]
+        assert stale and any(0 in lv for lv in levels[stale[-1] + 1:])
+
+
+class TestHelperThread:
+    CFG = sim.IntegratorConfig(dt=0.005, substep_cap=50.0)
+    N = 4096
+
+    def test_ends_when_the_run_is_exhausted(self):
+        base = threading.active_count()
+        for _ in sim.run_paths(X0, self.N, 1, 5, self.CFG, P2):
+            pass
+        assert threading.active_count() == base
+
+    def test_ends_when_the_run_is_closed_early(self):
+        base = threading.active_count()
+        run = sim.run_paths(X0, self.N, 1, 50, self.CFG, P2)
+        for i, _ in run:
+            if i == 3:
+                break
+        assert threading.active_count() == base + 1
+        run.close()
+        assert threading.active_count() == base
+
+    def test_ends_when_the_run_raises(self):
+        bad = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=3.0)
+        cfg = sim.IntegratorConfig(dt=0.5, substep_cap=None)
+        base = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(sim.IntegrationError):
+            for _ in sim.run_paths(State4(4.0, -4.0, 0, 0), self.N, 0, 80,
+                                   cfg, bad):
+                pass
+        assert threading.active_count() == base
+
+    def test_helper_failure_reaches_the_caller(self, monkeypatch):
+        draw = sim._Reseated.draw
+        callers = set()
+
+        def failing(self, word1, word2, shape):
+            if threading.get_ident() not in callers:
+                raise RuntimeError("helper draw failed")
+            return draw(self, word1, word2, shape)
+
+        def run():
+            callers.add(threading.get_ident())
+            with pytest.raises(RuntimeError) as exc:
+                list(sim.run_paths(X0, self.N, 1, 5, self.CFG, P2))
+            raised.append(str(exc.value))
+
+        monkeypatch.setattr(sim._Reseated, "draw", failing)
+        base, raised = threading.active_count(), []
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(120)
+        assert not caller.is_alive(), "the run hung"
+        assert raised == ["helper draw failed"]
+        assert threading.active_count() == base
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs a process on two or more cores")
+    def test_helper_keeps_off_the_callers_core(self):
+        def helper_cores(noise):
+            noise.prefetch(0, 1, sim.PREFETCH_MIN_DRAWS)
+            noise.block(0, 1, 1)            # the helper has started
+            (helper,) = [t for t in threading.enumerate()
+                         if t.name.startswith("ThreadPoolExecutor")]
+            return os.sched_getaffinity(helper.native_id)
+
+        def on_one_core():
+            os.sched_setaffinity(0, {min(allowed)})
+            noise = sim.NoiseStream(2)
+            try:
+                found.append(helper_cores(noise))
+            finally:
+                noise.close()
+
+        allowed, found = os.sched_getaffinity(0), []
+        noise = sim.NoiseStream(2)
+        try:
+            cores = helper_cores(noise)
+        finally:
+            noise.close()
+        assert len(cores) == len(allowed) - 1 and cores < allowed
+        # a caller held to one core leaves the helper on that core
+        caller = threading.Thread(target=on_one_core)
+        caller.start()
+        caller.join(60)
+        assert found == [{min(allowed)}]
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_cli_import_and_verify_start_no_thread(self, tmp_path):
+        code = ("import threading\n"
+                "started = []\n"
+                "start = threading.Thread.start\n"
+                "def spy(self):\n"
+                "    started.append(self.name)\n"
+                "    start(self)\n"
+                "threading.Thread.start = spy\n"
+                "import duobath.cli\n"
+                "cfg = sys.argv[1] + '/run.cfg'\n"
+                "open(cfg, 'w').write('verify.n = 1000\\n')\n"
+                "code = duobath.cli.main(['verify', '--preset', 'smallk-k04',"
+                " '--config', cfg, '--out', sys.argv[1] + '/out'])\n"
+                "print(code, len(started), threading.active_count())\n")
+        env = {"PYTHONPATH": str(Path(sim.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", "import sys\n" + code,
+                              str(tmp_path)], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        assert out.stdout.splitlines()[-1].split() == ["0", "0", "1"]
+
+
+class TestNoiseStreamLookahead:
+    def _fresh(self, key, w1, w2, shape):
+        bg = np.random.Philox(key=key, counter=[0, w1, w2, 0])
+        return np.random.Generator(bg).standard_normal(shape)
+
+    def test_prefix_of_a_prefetched_block_equals_fresh_philox(self):
+        noise = sim.NoiseStream(13)
+        n = 4096
+        try:
+            for m in (1, 2, 3, 7, 64, 511, 1000, 2047, 3001, 4095, 4096):
+                noise.prefetch(0, 5 << 8, 4 * n)
+                got = noise.normals(5, 0, 0, (4, m))
+                assert np.array_equal(got, self._fresh(noise.key, 0, 5 << 8,
+                                                       (4, m)))
+        finally:
+            noise.close()
+
+    def test_requests_the_block_cannot_serve_draw_here(self):
+        noise = sim.NoiseStream(13)
+        size = sim.PREFETCH_MIN_DRAWS
+        try:
+            noise.prefetch(0, 9, size)
+            # other words, then more draws than were prefetched
+            for w1, w2, shape in ((0, 8, size), (1, 9, 3), (0, 9, size + 1),
+                                  (0, 9, 5)):
+                assert np.array_equal(noise.block(w1, w2, shape),
+                                      self._fresh(noise.key, w1, w2, shape))
+            # below the floor nothing is prefetched
+            noise.prefetch(0, 10, size - 1)
+            assert noise.block(0, 10, size - 1).shape == (size - 1,)
+            assert noise._ahead == {}
+        finally:
+            noise.close()
 
 
 class TestPinnedOutputs:
