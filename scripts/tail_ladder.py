@@ -17,7 +17,7 @@ Usage (from the repository root):
 
 At the gate's size the run at burn-in 1000 steps 2.46e9 path-steps, as the
 gate does, and the default ladder with its dt/2 run about 6.3 times that;
-expect hours.  The script is not collected by the test suite.
+expect hours.  tests/test_tail_ladder.py runs it at a tiny size.
 """
 
 from __future__ import annotations

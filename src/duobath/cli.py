@@ -109,9 +109,8 @@ def _observables(names, p):
         if name not in _OBSERVABLES:
             raise ConfigError(f"unknown observable {name!r}; "
                               f"available: {sorted(_OBSERVABLES)}")
-        if name == "Hf0" and p.k > 1:
-            phi = osc.build_phi(p.k) if 1 < p.k <= 2 else None
-            obs[name] = sim.obs_free_energy_0(p, phi)
+        if name == "Hf0" and 1 < p.k <= 2:   # where orbit functions exist
+            obs[name] = sim.obs_free_energy_0(p, osc.build_phi(p.k))
         else:
             obs[name] = _OBSERVABLES[name](p)
     return obs

@@ -45,10 +45,6 @@ class GramForm:
     S: np.ndarray
     gamma_tilde: float
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.einsum("...i,ij,...j->...", y, self.S, y)
-
 
 def build_gram(A: np.ndarray, gamma_tilde: float) -> GramForm:
     """Gram form S of the exponentially weighted controllability-type

@@ -9,7 +9,7 @@ certificates; reports say so and carry the sampled evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,39 +20,8 @@ from .model import (REGULARIZED, ModelParams, State4, Jet2, jet_coord,
                     carre_of_jets, quintic_bridge, v1_eval, v1_prime,
                     v1_second)
 from . import oscillator as osc
-from .linear import GramForm, ForceSurrogate, build_matrices, build_gram, \
+from .linear import GramForm, build_matrices, build_gram, \
     default_gamma_tilde, g_eps_profile
-
-FAMILIES = ("tildeH0", "H0_cutoff", "V_k2", "V_klt2", "W_tail",
-            "W1_nonexist", "W_exp_frac", "expH", "hatH_smallk",
-            "W_smallk", "S_form")
-
-
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    family: str
-    parameters: Dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        _validate_family_params(self.family, dict(self.parameters))
-
-    def p(self, name, default):
-        return self.parameters.get(name, default)
-
-
-def _validate_family_params(family: str, p: Dict[str, float]):
-    """Check the values a spec passes; the builders' defaults are valid."""
-    if family == "V_k2" and "c" in p and not 0 < p["c"] < 1:
-        raise ValueError("V_k2 requires 0 < c < 1")
-    if family == "W1_nonexist" and "zeta" in p and not 0 < p["zeta"] < 1:
-        raise ValueError("W1_nonexist requires zeta in (0, 1)")
-    if family in ("V_klt2", "W_exp_frac") and "eta_cutoff" in p:
-        if p["eta_cutoff"] <= 0:
-            raise ValueError("eta_cutoff must be positive")
-    if family == "hatH_smallk" and "delta" in p and p["delta"] > 1.0:
-        raise ValueError("hatH_smallk requires delta <= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +73,22 @@ class PlainForm:
     If `h_coeff` is nonzero, that multiple of the total energy is carried
     analytically (L H = gamma (T + T_inf) - gamma p0^2), which removes the
     dominant cancellation at very high shells.
+
+    Every form carries `shell_phi`, the solution sample_shell corrects p0
+    with on its shells (None: uncorrected), and `parameters`, what its
+    report records.
     """
 
     kind = "plain"
-    spec = _phi_hint = None   # build_test_function's spec and phi table
 
-    def __init__(self, jet_fn, name: str, h_coeff: float = 0.0,
-                 aux_fns: Optional[Dict[str, Callable]] = None):
+    def __init__(self, jet_fn, name: str, h_coeff: float = 0.0, *,
+                 shell_phi: Optional[osc.CenteredSolution] = None,
+                 parameters: Optional[Dict[str, float]] = None):
         self.jet_fn = jet_fn         # (x, params) -> Jet2 of W minus h_coeff*H
         self.name = name
         self.h_coeff = h_coeff
-        self.aux_fns = aux_fns or {}
+        self.shell_phi = shell_phi
+        self.parameters = parameters or {}
 
     def jet(self, x, params) -> Jet2:
         j = self.jet_fn(x, params)
@@ -132,10 +106,7 @@ class PlainForm:
             lh = g * (T + Ti) - g * np.asarray(x.p0, dtype=float) ** 2
             drift = drift + self.h_coeff * lh
             j = j + self.h_coeff * jet_hamiltonian(x, params)
-        aux = {"value": j.value}
-        for name, fn in self.aux_fns.items():
-            aux[name] = fn(j, x, params)
-        return DriftSample(drift=np.asarray(drift), aux=aux), j
+        return DriftSample(drift=np.asarray(drift), aux={"value": j.value}), j
 
     def evaluate(self, x: State4, params: ModelParams) -> DriftSample:
         return self.evaluate_full(x, params)[0]
@@ -149,12 +120,15 @@ class ExpForm:
     = phi'(V) L V + (phi''(V) + phi'(V)^2) Gamma(V, V)."""
 
     kind = "exp"
-    spec = _phi_hint = None
 
-    def __init__(self, base: PlainForm, phi, dphi, d2phi, name: str):
+    def __init__(self, base: PlainForm, phi, dphi, d2phi, name: str, *,
+                 shell_phi: Optional[osc.CenteredSolution] = None,
+                 parameters: Optional[Dict[str, float]] = None):
         self.base = base
         self.phi, self.dphi, self.d2phi = phi, dphi, d2phi
         self.name = name
+        self.shell_phi = shell_phi
+        self.parameters = parameters or {}
 
     def evaluate(self, x: State4, params: ModelParams) -> DriftSample:
         s, j = self.base.evaluate_full(x, params)
@@ -164,7 +138,6 @@ class ExpForm:
         ratio = p1 * s.drift + (p2 + p1 * p1) * gamma2
         aux = dict(s.aux)
         aux["log_w"] = self.phi(v)
-        aux["gamma_vv"] = gamma2
         return DriftSample(drift=np.asarray(ratio), aux=aux)
 
     def log_values(self, x, params):
@@ -187,11 +160,13 @@ class SumExpForm:
     component log-drifts, stable against overflow."""
 
     kind = "exp"
-    spec = _phi_hint = None
+    shell_phi = None    # its components live on k <= 1, without orbits
 
-    def __init__(self, components: Sequence[ExpForm], name: str):
+    def __init__(self, components: Sequence[ExpForm], name: str, *,
+                 parameters: Optional[Dict[str, float]] = None):
         self.components = list(components)
         self.name = name
+        self.parameters = parameters or {}
 
     def evaluate(self, x: State4, params: ModelParams) -> DriftSample:
         samples = [c.evaluate(x, params) for c in self.components]
@@ -208,63 +183,45 @@ class SumExpForm:
 
 
 # ---------------------------------------------------------------------------
-# family builders
+# the tables a family reads
 
-@dataclass
-class SolutionTables:
-    phi: Optional[osc.CenteredSolution] = None
-    psi: Optional[osc.CenteredSolution] = None
-    xi: Optional[osc.CenteredSolution] = None
-    xi_tilde: Optional[osc.CenteredSolution] = None
-    gram: Optional[GramForm] = None
-    g_eps: Optional[ForceSurrogate] = None
-
-    def jets(self, x: State4) -> Dict[str, Jet2]:
-        """Jets at (p1, q1) of every orbit solution here, all read from one
-        angle lookup of the state batch (the solutions share phi's orbit)."""
-        if self.phi is None:
-            return {}
-        look = self.phi.orbit.lookup(x.p1, x.q1)
-        out = {}
-        for name in ORBIT_SOLUTIONS:
-            sol = getattr(self, name)
-            if sol is not None:
-                val, dp, dq, d2p = sol.eval_all(look)
-                if d2p is None:
-                    raise ValueError(f"{name} lacks a second-derivative "
-                                     "profile")
-                out[name] = Jet2(value=val, d_p1=dp, d_q1=dq, d2_p1=d2p)
-        return out
+def build_tables(params: ModelParams, names: Sequence[str], *,
+                 eps: Optional[float] = None, variant: float = 0.0) -> dict:
+    """The tables in `names`, by name: the orbit solutions "phi", "psi",
+    "xi" and "xi_tilde" (each built by osc.build_<name>), the Gram form
+    "gram" (of the 4-D drift matrix when variant == 4) and the force
+    surrogate "g_eps" of slope bound eps."""
+    tables = {}
+    for name in names:
+        if name == "gram":
+            m = build_matrices(params)
+            A = m.A_tilde if variant == 4 else m.A
+            tables[name] = build_gram(A, default_gamma_tilde(A))
+        elif name == "g_eps":
+            tables[name] = g_eps_profile(eps, params.k)
+        else:
+            tables[name] = getattr(osc, "build_" + name)(params.k)
+    return tables
 
 
-# the orbit solutions, each built by osc.build_<name>, and the SolutionTables
-# fields each family reads
-ORBIT_SOLUTIONS = ("phi", "psi", "xi", "xi_tilde")
+def _orbit_jets(x: State4, tables: dict) -> Dict[str, Jet2]:
+    """Jets at (p1, q1) of the orbit solutions in `tables`, all read from
+    one angle lookup of the state batch (the solutions share phi's orbit);
+    none without phi (harmonic test mode)."""
+    if "phi" not in tables:
+        return {}
+    look = tables["phi"].orbit.lookup(x.p1, x.q1)
+    out = {}
+    for name, sol in tables.items():
+        val, dp, dq, d2p = sol.eval_all(look)
+        if d2p is None:
+            raise ValueError(f"{name} lacks a second-derivative profile")
+        out[name] = Jet2(value=val, d_p1=dp, d_q1=dq, d2_p1=d2p)
+    return out
+
+
+# the corrections of the damped oscillator's energy
 _CORRECTED = ("phi", "psi", "xi")
-_NEEDS = {"tildeH0": ("phi",), "H0_cutoff": _CORRECTED, "V_k2": _CORRECTED,
-          "V_klt2": _CORRECTED, "W_tail": _CORRECTED + ("xi_tilde",),
-          "W1_nonexist": _CORRECTED, "W_exp_frac": _CORRECTED,
-          "hatH_smallk": ("gram", "g_eps"), "W_smallk": ("gram",),
-          "S_form": ("gram",)}
-
-
-def build_tables(spec: TestFunctionSpec, params: ModelParams) -> SolutionTables:
-    """Construct exactly the ingredients the family needs."""
-    t = SolutionTables()
-    k = params.k
-    if spec.family == "tildeH0" and k <= 1:
-        return t   # harmonic test mode: all corrections absent
-    needs = _NEEDS.get(spec.family, ())
-    for name in ORBIT_SOLUTIONS:
-        if name in needs:
-            setattr(t, name, getattr(osc, "build_" + name)(k))
-    if "gram" in needs:
-        m = build_matrices(params)
-        A = m.A_tilde if spec.p("variant", 0.0) == 4 else m.A
-        t.gram = build_gram(A, default_gamma_tilde(A))
-    if "g_eps" in needs:
-        t.g_eps = g_eps_profile(spec.p("eps", 0.05), k)
-    return t
 
 
 def _jet_ptilde(x, params, sj) -> Jet2:
@@ -340,133 +297,159 @@ def _power(c, a):
             lambda v: c * a * (a - 1) * v ** (a - 2))
 
 
-def build_test_function(spec: TestFunctionSpec, params: ModelParams):
-    """Assemble the drift form for a named family.
+# ---------------------------------------------------------------------------
+# family builders: one per drift family, each taking the model and that
+# family's parameters.  Plain (polynomial-scale) families return PlainForm;
+# exponential families return ExpForm/SumExpForm and are meant to be checked
+# on the log scale.
 
-    Plain (polynomial-scale) families return PlainForm; exponential families
-    return ExpForm/SumExpForm and are meant to be checked on the log scale.
-    """
-    tables = build_tables(spec, params)
-    form = _build_form(spec, params, tables)
-    form.spec, form._phi_hint = spec, tables.phi
-    return form
+def tilde_h0(params: ModelParams, *, theta=0.05) -> PlainForm:
+    """Corrected damped energy; uncorrected for k <= 1 (harmonic test
+    mode)."""
+    tables = build_tables(params, ("phi",) if params.k > 1 else ())
+    return PlainForm(
+        lambda x, p: _jet_tilde_h0(x, p, _jet_ptilde(x, p, _orbit_jets(
+            x, tables)), theta),
+        name=f"tildeH0(theta={theta})", shell_phi=tables.get("phi"),
+        parameters={"theta": theta})
 
 
-def _build_form(spec: TestFunctionSpec, params: ModelParams,
-                tables: SolutionTables):
-    fam = spec.family
-    P = spec.p
+def h0_cutoff(params: ModelParams, *, theta=0.05, E=50.0) -> PlainForm:
+    tables = build_tables(params, _CORRECTED)
+    return PlainForm(
+        lambda x, p: _jet_h0_cutoff(x, p, _orbit_jets(x, tables), theta, E),
+        name=f"H0_cutoff(theta={theta}, E={E})", shell_phi=tables["phi"],
+        parameters={"theta": theta, "E": E})
 
-    if fam == "tildeH0":
-        theta = P("theta", 0.05)
-        return PlainForm(lambda x, p: _jet_tilde_h0(
-            x, p, _jet_ptilde(x, p, tables.jets(x)), theta),
-            name=f"tildeH0(theta={theta})")
 
-    if fam == "H0_cutoff":
-        theta, plateau = P("theta", 0.05), P("E", 50.0)
-        return PlainForm(
-            lambda x, p: _jet_h0_cutoff(x, p, tables.jets(x), theta, plateau),
-            name=f"H0_cutoff(theta={theta}, E={plateau})")
+def v_k2(params: ModelParams, *, theta=-0.05, c=0.9, E=50.0) -> PlainForm:
+    if not 0 < c < 1:
+        raise ValueError("V_k2 requires 0 < c < 1")
+    tables = build_tables(params, _CORRECTED)
+    return PlainForm(
+        lambda x, p: (-c) * _jet_h0_cutoff(x, p, _orbit_jets(x, tables),
+                                           theta, E),
+        name=f"V_k2(theta={theta}, c={c}, E={E})", h_coeff=1.0,
+        shell_phi=tables["phi"], parameters={"theta": theta, "c": c, "E": E})
 
-    if fam == "V_k2":
-        theta, c, plateau = P("theta", -0.05), P("c", 0.9), P("E", 50.0)
-        return PlainForm(
-            lambda x, p: (-c) * _jet_h0_cutoff(x, p, tables.jets(x), theta,
-                                               plateau),
-            name=f"V_k2(theta={theta}, c={c}, E={plateau})",
-            h_coeff=1.0)
 
-    if fam == "V_klt2":
-        theta, eta = P("theta", 0.05), P("eta_cutoff", 2.0)
-        return PlainForm(
-            lambda x, p: _jet_v_klt2(x, p, tables.jets(x), theta, eta),
-            name=f"V_klt2(theta={theta}, eta={eta})",
-            h_coeff=1.0)
+def v_klt2(params: ModelParams, *, theta=0.05, eta_cutoff=2.0) -> PlainForm:
+    if eta_cutoff <= 0:
+        raise ValueError("eta_cutoff must be positive")
+    tables = build_tables(params, _CORRECTED)
+    return PlainForm(
+        lambda x, p: _jet_v_klt2(x, p, _orbit_jets(x, tables), theta,
+                                 eta_cutoff),
+        name=f"V_klt2(theta={theta}, eta={eta_cutoff})", h_coeff=1.0,
+        shell_phi=tables["phi"],
+        parameters={"theta": theta, "eta_cutoff": eta_cutoff})
 
-    if fam == "W_tail":
-        theta, c, plateau = P("theta", -0.05), P("c", 0.9), P("E", 50.0)
-        zeta = P("zeta", 0.4)
-        ti = params.t_hot
 
-        def jet_fn(x, p):
-            sj = tables.jets(x)
-            v = jet_hamiltonian(x, p) \
-                + (-c) * _jet_h0_cutoff(x, p, sj, theta, plateau)
-            coef = p.gamma * zeta * (zeta + 1) * ti
-            return (jet_power(v, zeta + 1)
-                    - coef * (jet_power(v, zeta) * sj["xi_tilde"]))
+def w_tail(params: ModelParams, *, theta=-0.05, c=0.9, E=50.0,
+           zeta=0.4) -> PlainForm:
+    tables = build_tables(params, _CORRECTED + ("xi_tilde",))
 
-        return PlainForm(jet_fn, name=f"W_tail(zeta={zeta})")
+    def jet_fn(x, p):
+        sj = _orbit_jets(x, tables)
+        v = jet_hamiltonian(x, p) + (-c) * _jet_h0_cutoff(x, p, sj, theta, E)
+        coef = p.gamma * zeta * (zeta + 1) * params.t_hot
+        return (jet_power(v, zeta + 1)
+                - coef * (jet_power(v, zeta) * sj["xi_tilde"]))
 
-    if fam == "W1_nonexist":
-        theta, plateau = P("theta", 0.02), P("E", 50.0)
-        zeta, delta = P("zeta", 0.02), P("delta", 0.1)
+    return PlainForm(jet_fn, name=f"W_tail(zeta={zeta})",
+                     shell_phi=tables["phi"],
+                     parameters={"theta": theta, "c": c, "E": E, "zeta": zeta})
 
-        def jet_fn(x, p):
-            h = jet_hamiltonian(x, p)
-            h0 = _jet_h0_cutoff(x, p, tables.jets(x), theta, plateau)
-            return jet_power(h, -zeta) * (h - (1.0 + delta) * h0)
 
-        return PlainForm(jet_fn,
-                         name=f"W1_nonexist(zeta={zeta}, delta={delta})")
+def w1_nonexist(params: ModelParams, *, theta=0.02, E=50.0, zeta=0.02,
+                delta=0.1) -> PlainForm:
+    if not 0 < zeta < 1:
+        raise ValueError("W1_nonexist requires zeta in (0, 1)")
+    tables = build_tables(params, _CORRECTED)
 
-    if fam == "W_exp_frac":
-        theta, eta = P("theta", 0.05), P("eta_cutoff", 2.0)
-        kap = P("kappa", 2.0 / params.k - 1.0)
-        delta = P("delta", 0.05)
-        base = PlainForm(
-            lambda x, p: _jet_v_klt2(x, p, tables.jets(x), theta, eta),
-            name="V_klt2", h_coeff=1.0)
-        return ExpForm(base, *_power(delta, kap),
-                       name=f"exp({delta}*V^{kap:.4g})")
+    def jet_fn(x, p):
+        h = jet_hamiltonian(x, p)
+        h0 = _jet_h0_cutoff(x, p, _orbit_jets(x, tables), theta, E)
+        return jet_power(h, -zeta) * (h - (1.0 + delta) * h0)
 
-    if fam == "expH":
-        beta = P("beta", 1.0)
-        base = PlainForm(lambda x, p: jet_const(0.0), name="H", h_coeff=1.0)
-        return ExpForm(base, *_linear(beta), name=f"exp({beta}*H)")
+    return PlainForm(jet_fn, name=f"W1_nonexist(zeta={zeta}, delta={delta})",
+                     shell_phi=tables["phi"],
+                     parameters={"theta": theta, "E": E, "zeta": zeta,
+                                 "delta": delta})
 
-    if fam == "hatH_smallk":
-        xi_c, beta0 = P("xi", 8.0), P("beta0", 0.02)
-        delta = P("delta", 1.0)
-        w = P("w", 1.0)   # weight of the Gram form (rescales its unit norm)
-        prof = tables.g_eps
 
-        def hat_jet(x, p):
-            sy = _jet_ysy(x, tables.gram)
-            g0 = jet_of_coord("q0", x, prof.g, prof.g_prime)
-            g1 = jet_of_coord("q1", x, prof.g, prof.g_prime)
-            psum = jet_coord("p0", x) + jet_coord("p1", x)
-            return w * sy - xi_c * (psum * (g0 + g1))
+def w_exp_frac(params: ModelParams, *, theta=0.05, eta_cutoff=2.0,
+               kappa=None, delta=0.05) -> ExpForm:
+    """exp(delta V^kappa) of the v_klt2 field V; kappa defaults to
+    2/k - 1."""
+    if kappa is None:
+        kappa = 2.0 / params.k - 1.0
+    base = v_klt2(params, theta=theta, eta_cutoff=eta_cutoff)
+    return ExpForm(base, *_power(delta, kappa),
+                   name=f"exp({delta}*V^{kappa:.4g})", shell_phi=base.shell_phi,
+                   parameters={"theta": theta, "eta_cutoff": eta_cutoff,
+                               "kappa": kappa, "delta": delta})
 
-        base = PlainForm(hat_jet, name="hatH", h_coeff=1.0)
-        return ExpForm(base, *_power(beta0, delta),
-                       name=f"exp({beta0}*hatH^{delta})")
 
-    if fam == "W_smallk":
-        beta0, lam = P("beta0", 0.05), P("lambda", 1.0)
+def exp_h(params: ModelParams, *, beta=1.0) -> ExpForm:
+    base = PlainForm(lambda x, p: jet_const(0.0), name="H", h_coeff=1.0)
+    return ExpForm(base, *_linear(beta), name=f"exp({beta}*H)",
+                   parameters={"beta": beta})
 
-        def v1qhat_jet(x, p):
-            return _jet_qhat(x, p).compose(lambda v: v1_eval(v, p),
-                                           lambda v: v1_prime(v, p),
-                                           lambda v: v1_second(v, p))
 
-        ea = ExpForm(PlainForm(lambda x, p: _jet_ysy(x, tables.gram), "ySy"),
-                     *_linear(beta0), "exp(b0*ySy)")
-        eb = ExpForm(PlainForm(v1qhat_jet, "V1(Qhat)"), *_linear(beta0 * lam),
-                     "exp(b0*lam*V1(Qhat))")
-        return SumExpForm([ea, eb],
-                          name=f"W_smallk(beta0={beta0}, lambda={lam})")
+def hat_h_smallk(params: ModelParams, *, xi=8.0, beta0=0.02, delta=1.0,
+                 w=1.0, eps=0.05) -> ExpForm:
+    """exp(beta0 hatH^delta) of the Gram energy (weight w rescales its unit
+    norm) corrected by the force surrogate of slope bound eps."""
+    if delta > 1.0:
+        raise ValueError("hatH_smallk requires delta <= 1")
+    tables = build_tables(params, ("gram", "g_eps"), eps=eps)
+    prof = tables["g_eps"]
 
-    if fam == "S_form":
-        if P("variant", 0.0) == 4:
-            def jet4(x, p):
-                comps = [jet_coord(n, x) for n in ("q0", "q1", "p0", "p1")]
-                return jet_gram(tables.gram, comps)
-            return PlainForm(jet4, name="yS4y")
-        return PlainForm(lambda x, p: _jet_ysy(x, tables.gram), name="ySy")
+    def hat_jet(x, p):
+        sy = _jet_ysy(x, tables["gram"])
+        g0 = jet_of_coord("q0", x, prof.g, prof.g_prime)
+        g1 = jet_of_coord("q1", x, prof.g, prof.g_prime)
+        psum = jet_coord("p0", x) + jet_coord("p1", x)
+        return w * sy - xi * (psum * (g0 + g1))
 
-    raise ValueError(f"unhandled family {fam!r}")
+    base = PlainForm(hat_jet, name="hatH", h_coeff=1.0)
+    return ExpForm(base, *_power(beta0, delta),
+                   name=f"exp({beta0}*hatH^{delta})",
+                   parameters={"xi": xi, "beta0": beta0, "delta": delta,
+                               "w": w, "eps": eps})
+
+
+def w_smallk(params: ModelParams, *, beta0=0.05, lam=1.0) -> SumExpForm:
+    """exp(beta0 ySy) + exp(beta0 lam V1(Qhat)); lam is reported as
+    "lambda"."""
+    gram = build_tables(params, ("gram",))["gram"]
+
+    def v1qhat_jet(x, p):
+        return _jet_qhat(x, p).compose(lambda v: v1_eval(v, p),
+                                       lambda v: v1_prime(v, p),
+                                       lambda v: v1_second(v, p))
+
+    ea = ExpForm(PlainForm(lambda x, p: _jet_ysy(x, gram), "ySy"),
+                 *_linear(beta0), "exp(b0*ySy)")
+    eb = ExpForm(PlainForm(v1qhat_jet, "V1(Qhat)"), *_linear(beta0 * lam),
+                 "exp(b0*lam*V1(Qhat))")
+    return SumExpForm([ea, eb], name=f"W_smallk(beta0={beta0}, lambda={lam})",
+                      parameters={"beta0": beta0, "lambda": lam})
+
+
+def s_form(params: ModelParams, *, variant=0.0) -> PlainForm:
+    """The Gram form <y, S y>; variant 4 is the 4-D form in (q0, q1, p0, p1)
+    of the k = 1 drift matrix."""
+    gram = build_tables(params, ("gram",), variant=variant)["gram"]
+    parameters = {"variant": variant}
+    if variant == 4:
+        def jet4(x, p):
+            comps = [jet_coord(n, x) for n in ("q0", "q1", "p0", "p1")]
+            return jet_gram(gram, comps)
+        return PlainForm(jet4, name="yS4y", parameters=parameters)
+    return PlainForm(lambda x, p: _jet_ysy(x, gram), name="ySy",
+                     parameters=parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -689,23 +672,20 @@ class VerificationReport:
 
 
 def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
-                seed: int, params: ModelParams,
-                phi: Optional[osc.CenteredSolution] = None
-                ) -> VerificationReport:
-    """Evaluate the drift of `form` on energy shells and report sign
-    violations, doubling the radius until the verdict repeats STABLE_RUNS
-    times in a row."""
+                seed: int, params: ModelParams) -> VerificationReport:
+    """Evaluate the drift of `form` on energy shells, sampled with the form's
+    shell_phi, and report sign violations, doubling the radius until the
+    verdict repeats STABLE_RUNS times in a row."""
     if n < 1000:
         raise ValueError("need at least 1000 samples per shell")
-    if phi is None and params.k > 1:
-        phi = form._phi_hint
     shells: List[ShellResult] = []
     verdicts: List[bool] = []
     r = shell.r0
     stab_radius = None
     for d in range(shell.max_doublings + 1):
         rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
-        states = sample_shell(params, r, HI_RATIO * r, n, rng, phi=phi)
+        states = sample_shell(params, r, HI_RATIO * r, n, rng,
+                              phi=form.shell_phi)
         s = form.evaluate(states, params)
         if not np.all(np.isfinite(s.drift)):
             raise RuntimeError(
@@ -729,7 +709,7 @@ def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
     final = verdicts[-1] if stabilized else False
     return VerificationReport(
         field=form.name, predicate=predicate.name,
-        parameters=dict(form.spec.parameters) if form.spec else {},
+        parameters=dict(form.parameters),
         seed=seed, n_per_shell=n,
         violation_threshold=VIOLATION_THRESHOLD, shells=shells,
         stabilized=stabilized, stabilization_radius=stab_radius,
@@ -766,12 +746,13 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
     on a ladder of N_SHELLS doubling shells.
 
     W1 and W2 are plain forms, read and compared on the plain scale (every
-    evidence entry's log_scale is False); f_bound(states, params) is the
-    integrability weight F evaluated on states.
+    evidence entry's log_scale is False), on shells sampled with W1's
+    shell_phi; f_bound(states, params) is the integrability weight F
+    evaluated on states.
     """
     if "exp" in (w1_form.kind, w2_form.kind):
         raise ValueError("wonham_report checks plain forms only")
-    phi = w1_form._phi_hint
+    phi = w1_form.shell_phi
     ladder = [shell.r0 * 2 ** i for i in range(N_SHELLS)]
     sup_w1, inf_w2, shells_checked = [], [], []
     viol_w1 = viol_w2 = 0

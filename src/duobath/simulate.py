@@ -29,7 +29,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -48,17 +48,16 @@ class IntegratorConfig:
     dt: float = 0.005
     t_end: float = 10.0
     record_stride: int = 10
-    substep_cap: Optional[float] = 100.0  # force magnitude that triggers halving
-    max_halvings: int = 10
+    substep_cap: float = 100.0   # force magnitude that triggers halving
+    max_halvings: int = 10       # 0 turns halving off
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.substep_cap is not None and not self.substep_cap > 0:
-            raise ValueError("substep_cap must be positive (None turns "
-                             "halving off)")
+        if not self.substep_cap > 0:
+            raise ValueError("substep_cap must be positive")
         # the halving level is packed into 8 bits of the noise counter
         if not 0 <= self.max_halvings <= 255:
             raise ValueError("max_halvings must lie in [0, 255]")
@@ -222,20 +221,19 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
                   params: ModelParams, noise: NoiseStream):
     """Advance every path by cfg.dt, locally halving dt where forces are stiff.
 
-    When no force exceeds cfg.substep_cap (or halving is off) every path is
+    When no force exceeds cfg.substep_cap, or max_halvings is 0, every path is
     at level 0 and the whole ensemble takes one step on one noise block.
     Otherwise paths are grouped by their halving level; each group consumes
     its own noise blocks, so the draws a path sees depend on (seed, step,
     level) and on its position among the paths at that level.  The forces
-    of the halving test feed the first half-kick.  A non-finite force there
-    raises check_finite's IntegrationError at t = (step_index + 1) dt, naming
-    the first such path, before any substep.  Returns fresh arrays; the inputs are not
-    written to."""
+    of the halving test feed the first half-kick.  With halving on, a
+    non-finite force there raises check_finite's IntegrationError at
+    t = (step_index + 1) dt, naming the first such path, before any substep.
+    Returns fresh arrays; the inputs are not written to."""
     q0, q1, p0, p1 = (np.asarray(v, dtype=float) for v in (q0, q1, p0, p1))
     f0, f1 = forces(q0, q1, params)
-    cap = cfg.substep_cap
-    if cap is None or (top := np.max(np.maximum(np.abs(f0), np.abs(f1)),
-                                     initial=0.0)) / cap <= 1.0:
+    if cfg.max_halvings == 0 or (top := np.max(np.maximum(
+            np.abs(f0), np.abs(f1)), initial=0.0)) / cfg.substep_cap <= 1.0:
         z = noise.normals(step_index, 0, 0, (4, q0.size))
         return list(_strang(q0, q1, p0, p1, f0, f1, cfg.dt, params, z)[:4])
     if not np.isfinite(top):
@@ -306,8 +304,9 @@ def obs_free_energy_1(params):
 
 
 def obs_free_energy_0(params, phi=None):
-    """Free energy of the damped oscillator in the corrected momentum; with
-    phi=None the correction is dropped (harmonic test mode)."""
+    """Free energy of the damped oscillator in the corrected momentum
+    p0 - alpha phi; with phi=None the correction is dropped.  The CLI's Hf0
+    passes phi for 1 < k <= 2 only, so outside (1, 2] Hf0 is uncorrected."""
     k, a = params.k, params.alpha
 
     def f(s):

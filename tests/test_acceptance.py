@@ -144,7 +144,9 @@ class TestAcceptance:
             phi = sla.expm(A * t)
             for _ in range(100):
                 y = rng.normal(size=3)
-                if gram(phi @ y) > np.exp(-gt * t) * gram(y) * (1 + 1e-10):
+                z = phi @ y
+                if z @ gram.S @ z > \
+                        np.exp(-gt * t) * (y @ gram.S @ y) * (1 + 1e-10):
                     contraction_ok = False
         rep = run_preset("smallk-k075", n=10_000, seed=42)
         ok = (det_dev < 1e-12 and absc_max < 0.0 and res < 1e-10

@@ -1,10 +1,13 @@
+import csv
 import hashlib
 import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from duobath import oscillator as osc
 from duobath.cli import main
 from duobath.config import ConfigError, parse_config_text
 
@@ -205,6 +208,29 @@ class TestArtifacts:
         cfg2 = "integrator.t_end = 0.5\nensemble.n_paths = 16\n"
         code, out2 = run(tmp_path / "second", "simulate", cfg2)
         assert not (out2 / "samples.csv").exists()
+
+    @pytest.mark.parametrize("k, smoothing", [(2.0, "pure-power"),
+                                              (0.75, "regularized")])
+    def test_hf0_is_corrected_by_phi_for_k_in_1_2(self, tmp_path, k,
+                                                   smoothing):
+        # the last Hf0 mean is the free energy of the damped oscillator over
+        # the dumped final states, in p0 - alpha phi(p1, q1) at k = 2 and
+        # in p0 at k = 0.75
+        cfg = (f"model.k = {k}\nmodel.smoothing = {smoothing}\n"
+               "integrator.t_end = 0.5\nensemble.n_paths = 64\n"
+               "observables.names = Hf0\nsamples.dump = true\n")
+        code, out = run(tmp_path, "simulate", cfg)
+        assert code == 0
+        with open(out / "stats.csv") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert (last["observable"], float(last["t"])) == ("Hf0", 0.5)
+        q0, q1, p0, p1 = np.loadtxt(out / "samples.csv", delimiter=",",
+                                    skiprows=1).T
+        if k == 2.0:
+            phi = osc.build_phi(k)
+            p0 = p0 - 1.0 * phi.value(phi.orbit.lookup(p1, q1))
+        hf0 = p0 ** 2 / 2 + np.abs(q0) ** (2 * k) / (2 * k)
+        assert float(last["mean"]) == pytest.approx(hf0.mean(), rel=1e-12)
 
     def test_reduced_reports(self, tmp_path):
         cfg = ("reduced.eta = 3.0\nreduced.sigma = -1.0\n"

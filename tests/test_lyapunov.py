@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -18,6 +19,36 @@ from duobath.model import (ModelParams, State4, hamiltonian, drift_and_noise,
 from duobath.presets import PRESET_NAMES, get_preset, run_preset
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
+P15 = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=1.5)
+P075 = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=0.75,
+                   smoothing="regularized")
+P04 = ModelParams(alpha=2, gamma=2, t_cold=1, t_hot=1, k=0.4,
+                  smoothing="regularized")
+
+# family -> (its builder, a model it supports, keywords unlike its defaults)
+BUILDERS = {
+    "tildeH0": (ly.tilde_h0, P2, {"theta": 0.1}),
+    "H0_cutoff": (ly.h0_cutoff, P2, {"theta": 0.1, "E": 20.0}),
+    "V_k2": (ly.v_k2, P2, {"theta": -0.08, "c": 0.8, "E": 20.0}),
+    "V_klt2": (ly.v_klt2, P15, {"theta": 0.1, "eta_cutoff": 1.0}),
+    "W_tail": (ly.w_tail, P2, {"theta": -0.08, "c": 0.8, "E": 20.0,
+                               "zeta": 0.3}),
+    "W1_nonexist": (ly.w1_nonexist, P2, {"theta": 0.08, "E": 20.0,
+                                         "zeta": 0.05, "delta": 0.15}),
+    "W_exp_frac": (ly.w_exp_frac, P15, {"theta": 0.1, "eta_cutoff": 1.0,
+                                        "kappa": 0.3, "delta": 0.02}),
+    "expH": (ly.exp_h, P2, {"beta": 0.3}),
+    "hatH_smallk": (ly.hat_h_smallk, P075, {"xi": 2.0, "beta0": 1e-3,
+                                            "delta": 0.5, "w": 0.05,
+                                            "eps": 0.01}),
+    "W_smallk": (ly.w_smallk, P04, {"beta0": 1e-3, "lam": 2.0}),
+    "S_form": (ly.s_form, P075, {"variant": 4}),
+}
+
+
+def _reported(keywords):
+    """The parameters a report records for builder keywords."""
+    return {("lambda" if k == "lam" else k): v for k, v in keywords.items()}
 
 
 def _cutoff(s):
@@ -95,14 +126,14 @@ def _moderate_states(n, seed, e1_range=(3.0, 40.0)):
 class TestBuiltFields:
     def test_jets_vs_fd_all_k2_families(self):
         states = _moderate_states(100, 1)
-        for fam, pars in (
-                ("tildeH0", {"theta": 0.05}),
-                ("H0_cutoff", {"theta": 0.05, "E": 20.0}),
-                ("V_k2", {"theta": -0.08, "c": 0.9, "E": 20.0}),
-                ("W1_nonexist", {"theta": 0.08, "delta": 0.15, "zeta": 0.05,
-                                 "E": 20.0}),
+        for family, pars in (
+                (ly.tilde_h0, {"theta": 0.05}),
+                (ly.h0_cutoff, {"theta": 0.05, "E": 20.0}),
+                (ly.v_k2, {"theta": -0.08, "c": 0.9, "E": 20.0}),
+                (ly.w1_nonexist, {"theta": 0.08, "delta": 0.15, "zeta": 0.05,
+                                  "E": 20.0}),
         ):
-            form = ly.build_test_function(ly.TestFunctionSpec(fam, pars), P2)
+            form = family(P2, **pars)
             _fd_check_jets(form, P2, states)
 
     def test_jets_vs_fd_w_tail(self):
@@ -117,30 +148,21 @@ class TestBuiltFields:
             q1=np.sign(np.sin(th)) * np.abs(4 * e1 * np.sin(th) ** 2) ** 0.25,
             p0=rng.normal(0, 0.5, n),
             p1=np.sqrt(2 * e1) * np.cos(th))
-        form = ly.build_test_function(
-            ly.TestFunctionSpec("W_tail", {"theta": -0.08, "c": 0.9,
-                                           "E": 20.0, "zeta": 0.4}), P2)
+        form = ly.w_tail(P2, theta=-0.08, c=0.9, E=20.0, zeta=0.4)
         assert np.all(np.asarray(form.values(states, P2)) > 0)
         _fd_check_jets(form, P2, states)
 
     def test_jets_vs_fd_k15(self):
-        p = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=1.5)
         states = _moderate_states(80, 2)
-        form = ly.build_test_function(
-            ly.TestFunctionSpec("V_klt2", {"theta": 0.1, "eta_cutoff": 1.0}), p)
-        _fd_check_jets(form, p, states)
+        form = ly.v_klt2(P15, theta=0.1, eta_cutoff=1.0)
+        _fd_check_jets(form, P15, states)
 
     def test_jets_vs_fd_smallk(self):
-        p = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=0.75,
-                        smoothing="regularized")
         rng = np.random.default_rng(3)
         states = State4(*(rng.normal(0, 3, 60) for _ in range(4)))
-        form = ly.build_test_function(
-            ly.TestFunctionSpec("hatH_smallk",
-                                {"xi": 2.0, "eps": 0.005, "beta0": 1e-5,
-                                 "delta": 1.0, "w": 0.05}), p)
-        base = form.base
-        _fd_check_jets(base, p, states)
+        form = ly.hat_h_smallk(P075, xi=2.0, eps=0.005, beta0=1e-5, delta=1.0,
+                               w=0.05)
+        _fd_check_jets(form.base, P075, states)
 
     @staticmethod
     def _fd_generator(form, params, x, h=1e-4):
@@ -165,36 +187,31 @@ class TestBuiltFields:
     def test_generator_vs_fd_every_family(self):
         # jets reproduce a second-order FD evaluation of L for each built-in
         # family at 100 random moderate-energy states (relative 1e-4)
-        p15 = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=1.5)
-        p075 = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=0.75,
-                           smoothing="regularized")
-        p04 = ModelParams(alpha=2, gamma=2, t_cold=1, t_hot=1, k=0.4,
-                          smoothing="regularized")
         rng = np.random.default_rng(12)
         smallk_states = State4(*(rng.normal(0, 3, 100) for _ in range(4)))
         cases = [
-            ("tildeH0", {"theta": 0.05}, P2, _moderate_states(100, 4)),
-            ("H0_cutoff", {"theta": 0.05, "E": 20.0}, P2,
+            (ly.tilde_h0, {"theta": 0.05}, P2, _moderate_states(100, 4)),
+            (ly.h0_cutoff, {"theta": 0.05, "E": 20.0}, P2,
              _moderate_states(100, 5)),
-            ("V_k2", {"theta": -0.08, "c": 0.9, "E": 20.0}, P2,
+            (ly.v_k2, {"theta": -0.08, "c": 0.9, "E": 20.0}, P2,
              _moderate_states(100, 6)),
-            ("W1_nonexist", {"theta": 0.08, "delta": 0.15, "zeta": 0.05,
-                             "E": 20.0}, P2, _moderate_states(100, 7)),
-            ("V_klt2", {"theta": 0.1, "eta_cutoff": 1.0}, p15,
+            (ly.w1_nonexist, {"theta": 0.08, "delta": 0.15, "zeta": 0.05,
+                              "E": 20.0}, P2, _moderate_states(100, 7)),
+            (ly.v_klt2, {"theta": 0.1, "eta_cutoff": 1.0}, P15,
              _moderate_states(100, 8)),
-            ("W_exp_frac", {"theta": 0.1, "eta_cutoff": 1.0, "delta": 0.02},
-             p15, _moderate_states(100, 9, e1_range=(5.0, 30.0))),
-            ("expH", {"beta": 0.3}, P2, _moderate_states(100, 10,
-                                                         e1_range=(1.0, 4.0))),
-            ("hatH_smallk", {"xi": 2.0, "eps": 0.01, "beta0": 1e-3,
-                             "delta": 1.0, "w": 0.05}, p075, smallk_states),
-            ("W_smallk", {"beta0": 1e-3, "lambda": 1.0}, p04, smallk_states),
-            ("S_form", {}, p075, smallk_states),
-            ("S_form", {"variant": 4}, ModelParams(
+            (ly.w_exp_frac, {"theta": 0.1, "eta_cutoff": 1.0, "delta": 0.02},
+             P15, _moderate_states(100, 9, e1_range=(5.0, 30.0))),
+            (ly.exp_h, {"beta": 0.3}, P2, _moderate_states(
+                100, 10, e1_range=(1.0, 4.0))),
+            (ly.hat_h_smallk, {"xi": 2.0, "eps": 0.01, "beta0": 1e-3,
+                               "delta": 1.0, "w": 0.05}, P075, smallk_states),
+            (ly.w_smallk, {"beta0": 1e-3, "lam": 1.0}, P04, smallk_states),
+            (ly.s_form, {}, P075, smallk_states),
+            (ly.s_form, {"variant": 4}, ModelParams(
                 alpha=1, gamma=1, t_cold=1, t_hot=1, k=1.0), smallk_states),
         ]
-        for fam, pars, pp, states in cases:
-            form = ly.build_test_function(ly.TestFunctionSpec(fam, pars), pp)
+        for family, pars, pp, states in cases:
+            form = family(pp, **pars)
             s = form.evaluate(states, pp)
             # Richardson-extrapolated second-order stencils keep the FD
             # truncation below the asserted tolerance for the exp families
@@ -206,14 +223,13 @@ class TestBuiltFields:
             else:
                 got = s.drift
             err = np.max(np.abs(got - lf_fd) / (1 + np.abs(got)))
-            assert err < 1e-4, (fam, err)
+            assert err < 1e-4, (family.__name__, err)
 
     def test_tildeH0_harmonic_degeneration(self):
         # harmonic test mode (k = 1): theta = 0 and no oscillator correction
         # reduce the field to p0^2/2 + Veff(q0) exactly
         pk1 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=1.0)
-        spec = ly.TestFunctionSpec("tildeH0", {"theta": 0.0})
-        form = ly.build_test_function(spec, pk1)
+        form = ly.tilde_h0(pk1, theta=0.0)
         x = State4(q0=1.5, q1=0.3, p0=-0.7, p1=2.0)
         got = float(form.values(x, pk1))
         veff = 1.5 ** 2 / 2 + 0.5 * pk1.alpha * 1.5 ** 2
@@ -221,46 +237,66 @@ class TestBuiltFields:
 
     def test_v_k2_coercive_lower_bound(self):
         # V >= (1-c)/2 * H outside a ball, on shell samples
-        spec = ly.TestFunctionSpec("V_k2", {"theta": -0.08, "c": 0.9,
-                                            "E": 1e4})
-        form = ly.build_test_function(spec, P2)
+        form = ly.v_k2(P2, theta=-0.08, c=0.9, E=1e4)
         rng = np.random.default_rng(7)
-        st = ly.sample_shell(P2, 1e5, 2e5, 10_000, rng, phi=form._phi_hint)
+        st = ly.sample_shell(P2, 1e5, 2e5, 10_000, rng, phi=form.shell_phi)
         v = form.values(st, P2)
         h = hamiltonian(st, P2)
         assert np.all(v >= (1 - 0.9) / 2 * h)
 
     def test_family_validation(self):
-        with pytest.raises(ValueError):
-            ly.TestFunctionSpec("no_such_family", {})
-        with pytest.raises(ValueError):
-            ly.TestFunctionSpec("V_k2", {"c": 1.5})
-        with pytest.raises(ValueError):
-            ly.TestFunctionSpec("W1_nonexist", {"zeta": 2.0})
-        with pytest.raises(ValueError):
-            ly.TestFunctionSpec("hatH_smallk", {"delta": 1.5})
-        with pytest.raises(ValueError):
-            ly.TestFunctionSpec("V_klt2", {"eta_cutoff": 0.0})
+        with pytest.raises(ValueError, match="0 < c < 1"):
+            ly.v_k2(P2, c=1.5)
+        with pytest.raises(ValueError, match="zeta in"):
+            ly.w1_nonexist(P2, zeta=2.0)
+        with pytest.raises(ValueError, match="delta <= 1"):
+            ly.hat_h_smallk(P075, delta=1.5)
+        for family in (ly.v_klt2, ly.w_exp_frac):
+            with pytest.raises(ValueError, match="eta_cutoff"):
+                family(P15, eta_cutoff=0.0)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            ly.hat_h_smallk(P075, eps=0.0)
 
-    @pytest.mark.parametrize("family", ly.FAMILIES)
-    def test_builder_defaults_are_valid(self, family):
-        # the validator checks only the values a spec passes, so a spec that
-        # passes none is valid for every family
-        assert ly.TestFunctionSpec(family, {}).parameters == {}
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_unknown_keyword_is_a_type_error(self, name):
+        family, params, _ = BUILDERS[name]
+        with pytest.raises(TypeError, match="thta"):
+            family(params, thta=-0.08)
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builder_defaults_are_valid(self, name):
+        # each builder builds at a model it supports with no keyword given
+        family, params, _ = BUILDERS[name]
+        keywords = [kw for kw, par in
+                    inspect.signature(family).parameters.items()
+                    if par.kind is par.KEYWORD_ONLY]
+        form = family(params)
+        assert sorted(form.parameters) == sorted(
+            _reported(dict.fromkeys(keywords)))
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_reports_the_keywords_it_was_built_with(self, name):
+        family, params, keywords = BUILDERS[name]
+        form = family(params, **keywords)
+        assert form.parameters == _reported(keywords)
+        anything = ly.Predicate("any drift", lambda d, a, x, p: 0.0 * d)
+        rep = ly.verify_sign(form, anything, ly.ShellSpec(r0=1e3), 1000, 0,
+                             params)
+        assert rep.parameters == _reported(keywords)
 
 
 class TestSolutionJets:
     def test_shared_lookup_equals_separate_lookups(self):
         k = 1.5
-        tables = ly.SolutionTables(phi=osc.build_phi(k), psi=osc.build_psi(k),
-                                   xi=osc.build_xi(k))
+        tables = ly.build_tables(P2.with_(k=k), ("phi", "psi", "xi"))
         rng = np.random.default_rng(3)
         p1, q1 = rng.uniform(-20, 20, 300), rng.uniform(-5, 5, 300)
         x = State4(q0=np.zeros(300), q1=q1, p0=np.zeros(300), p1=p1)
-        jets = tables.jets(x)
+        jets = ly._orbit_jets(x, tables)
         assert sorted(jets) == ["phi", "psi", "xi"]
         for name, jet in jets.items():
-            sol = getattr(tables, name)
+            sol = tables[name]
+            assert sol is getattr(osc, "build_" + name)(k)
             val, dp, dq, d2p = sol.eval_all(sol.orbit.lookup(p1, q1))
             assert np.array_equal(jet.value, val)
             assert np.array_equal(jet.d_p1, dp)
@@ -428,29 +464,28 @@ class TestShellSqueeze:
 
 class TestVerify:
     def test_constant_field_trivially_passes(self):
-        form = ly.PlainForm(lambda x, p: ly.jet_const(1.0), name="one")
+        form = ly.PlainForm(lambda x, p: ly.jet_const(1.0), name="one",
+                            shell_phi=osc.build_phi(2.0))
         rep = ly.verify_sign(form, ly.drift_below(1e-12), ly.ShellSpec(r0=100.0),
-                             1000, 0, P2, phi=osc.build_phi(2.0))
+                             1000, 0, P2)
         assert rep.stabilized and rep.final_verdict
         assert all(s.violations == 0 for s in rep.shells)
 
     def test_energy_field_drift_bound(self):
         # L H <= gamma (T + T_inf) at every shell
         form = ly.PlainForm(lambda x, p: ly.jet_const(0.0), name="H",
-                            h_coeff=1.0)
+                            h_coeff=1.0, shell_phi=osc.build_phi(2.0))
         bound = P2.gamma * (P2.t_cold + P2.t_hot)
         rep = ly.verify_sign(form, ly.drift_below(bound + 1e-12),
-                             ly.ShellSpec(r0=100.0), 1000, 1, P2,
-                             phi=osc.build_phi(2.0))
+                             ly.ShellSpec(r0=100.0), 1000, 1, P2)
         assert rep.final_verdict
 
     def test_exp_energy_positive_drift(self):
-        # W = exp(H/T): L W >= 0 everywhere (not just outside a ball)
-        form = ly.build_test_function(
-            ly.TestFunctionSpec("expH", {"beta": 1.0 / P2.t_cold}), P2)
+        # W = exp(H/T): L W >= 0 everywhere (not just outside a ball), so
+        # uncorrected shells do
+        form = ly.exp_h(P2, beta=1.0 / P2.t_cold)
         rep = ly.verify_sign(form, ly.drift_above(0.0),
-                             ly.ShellSpec(r0=50.0), 1000, 2, P2,
-                             phi=osc.build_phi(2.0))
+                             ly.ShellSpec(r0=50.0), 1000, 2, P2)
         assert rep.final_verdict and rep.stabilized
 
     def test_small_n_rejected(self):
@@ -460,9 +495,10 @@ class TestVerify:
                            10, 0, P2)
 
     def test_report_serializes(self):
-        form = ly.PlainForm(lambda x, p: ly.jet_const(1.0), name="one")
+        form = ly.PlainForm(lambda x, p: ly.jet_const(1.0), name="one",
+                            shell_phi=osc.build_phi(2.0))
         rep = ly.verify_sign(form, ly.drift_below(1.0), ly.ShellSpec(r0=10.0),
-                             1000, 0, P2, phi=osc.build_phi(2.0))
+                             1000, 0, P2)
         parsed = json.loads(json.dumps(rep.to_dict()))
         assert parsed["n_per_shell"] == 1000
         assert len(parsed["shells"]) == len(rep.shells)
@@ -470,8 +506,7 @@ class TestVerify:
 
 class TestWonham:
     def test_exp_forms_are_rejected(self):
-        w = ly.build_test_function(ly.TestFunctionSpec("expH", {"beta": 1.0}),
-                                   P2)
+        w = ly.exp_h(P2, beta=1.0)
         h = ly.PlainForm(lambda x, p: ly.jet_const(0.0), name="H",
                          h_coeff=1.0)
         for w1, w2 in ((w, h), (h, w)):
@@ -580,17 +615,16 @@ class TestSmallKRegimes:
         from duobath.model import carre_of_jets
         A = build_matrices(p).A_tilde
         gt = default_gamma_tilde(A)
-        spec = ly.TestFunctionSpec("S_form", {"variant": 4})
-        form = ly.build_test_function(spec, p)
-        form.aux_fns["gamma"] = lambda j, x, pr: carre_of_jets(j, j, pr)
+        form = ly.s_form(p, variant=4)
         c1 = gt / 2
         gram4 = build_gram(A, gt)
         lam = np.linalg.eigvalsh(gram4.S)
         c2 = 10.0 * p.gamma * (p.t_cold + p.t_hot) * lam.max() / lam.min()
 
         def margins(drift, aux, states, params):
+            j = form.jet(states, params)
             m1 = -c1 * aux["value"] - drift
-            m2 = c2 * aux["value"] - aux["gamma"]
+            m2 = c2 * aux["value"] - carre_of_jets(j, j, params)
             return np.minimum(m1, m2)
 
         pred = ly.Predicate("L hatH <= -C1 hatH and Gamma <= C2 hatH", margins)

@@ -39,7 +39,7 @@ class TestDeterminism:
     def test_nonfinite_raises(self):
         bad = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=3.0)
         # velocity Verlet at dt = 0.5 without halving blows up on q^5 forces
-        cfg = sim.IntegratorConfig(dt=0.5, t_end=40.0, substep_cap=None)
+        cfg = sim.IntegratorConfig(dt=0.5, t_end=40.0, max_halvings=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(sim.IntegrationError) as exc:
                 sim.simulate_ensemble(State4(4.0, -4.0, 0, 0), cfg, bad,
@@ -94,8 +94,6 @@ def _ref_strang_core(q0, q1, p0, p1, h, params, z):
 
 
 def _ref_halvings_needed(q0, q1, params, cfg):
-    if cfg.substep_cap is None:
-        return np.zeros(np.shape(q0), dtype=int)
     f0, f1 = forces(q0, q1, params)
     mag = np.maximum(np.abs(f0), np.abs(f1))
     with np.errstate(divide="ignore"):
@@ -132,8 +130,8 @@ STIFF_CFG = sim.IntegratorConfig(dt=0.05, t_end=2.0, substep_cap=10.0,
 class TestStepKernel:
     @pytest.mark.parametrize("params, cfg, x0, n, levels", [
         # halving off, and level 0 only with one path and with many
-        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.002, substep_cap=None),
-         State4(2.0, -2.0, 0.0, 0.0), 64, set()),
+        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.002, max_halvings=0),
+         State4(2.0, -2.0, 0.0, 0.0), 64, {0}),
         (P2, sim.IntegratorConfig(dt=0.005, substep_cap=50.0), X0, 64, {0}),
         (P2, sim.IntegratorConfig(dt=0.005, substep_cap=50.0), X0, 1, {0}),
         (PK1, sim.IntegratorConfig(dt=0.01), X0, 64, {0}),
@@ -156,8 +154,7 @@ class TestStepKernel:
         x = [np.full(n, float(v)) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
         seen = set()
         for i in range(n_steps):
-            if cfg.substep_cap is not None:
-                seen |= _levels(x, params, cfg)
+            seen |= _levels(x, params, cfg)
             before = [v.copy() for v in x]
             got = sim.step_ensemble(*x, i, cfg, params, noise)
             want = _ref_step_ensemble(*x, i, cfg, params, noise.key)
@@ -343,7 +340,7 @@ class TestHelperThread:
 
     def test_ends_when_the_run_raises(self):
         bad = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=3.0)
-        cfg = sim.IntegratorConfig(dt=0.5, substep_cap=None)
+        cfg = sim.IntegratorConfig(dt=0.5, max_halvings=0)
         base = threading.active_count()
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(sim.IntegrationError):
@@ -498,7 +495,7 @@ class TestSchemes:
         for dt in (0.02, 0.01, 0.005):
             cfg = sim.IntegratorConfig(dt=dt, t_end=5.0,
                                        record_stride=10 ** 9,
-                                       substep_cap=None)
+                                       max_halvings=0)
             r = sim.simulate_ensemble(X0, cfg, pz, {"H": sim.obs_energy(pz)},
                                       seed=1, n_paths=1)
             errs.append(abs(r.stats["H"]["mean"][-1] - h0))
@@ -610,8 +607,7 @@ class TestIntegratorConfig:
             sim.IntegratorConfig(**bad)
 
     def test_extremes_and_off_switch_accepted(self):
-        for ok in ({"max_halvings": 0}, {"max_halvings": 255},
-                   {"substep_cap": None}):
+        for ok in ({"max_halvings": 0}, {"max_halvings": 255}):
             sim.IntegratorConfig(**ok)
 
 
