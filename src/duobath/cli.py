@@ -112,6 +112,10 @@ def _observables(names, p):
         if name == "Hf0" and 1 < p.k <= 2:   # where orbit functions exist
             obs[name] = sim.obs_free_energy_0(p, osc.build_phi(p.k))
         else:
+            if name == "Hf0":
+                print(f"note: at k = {p.k:g} Hf0 is the uncorrected free "
+                      "energy p0^2/2 + |q0|^(2k)/(2k); the phi correction "
+                      "exists for 1 < k <= 2 only", file=sys.stderr)
             obs[name] = _OBSERVABLES[name](p)
     return obs
 

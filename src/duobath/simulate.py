@@ -10,11 +10,17 @@ ensemble follows a different trajectory.
 
 Step kernel: one Strang step per path and (sub)step, with the forces at the
 end of a substep reused for the first half-kick of the next one, and the
-momentum and position updates done in place on fresh output arrays.  When no
-path needs halving the whole ensemble is stepped at once, with no grouping
-by level; otherwise a non-finite force is an IntegrationError before any
-substep.  NoiseStream reseats a single Philox generator per noise block, and
-the surrogate (reduced.run_reduced) draws from it too.
+momentum and position updates done in place on fresh output arrays.  When
+no path needs halving the whole ensemble is stepped at once.  Otherwise a
+non-finite force is an IntegrationError before any substep, and the step
+runs as 2**top ticks of the finest substep, top being the deepest halving
+level in use: the paths are sorted by level, deepest first, so the paths
+that move at a tick (those at level l move every 2**(top - l) ticks) are a
+prefix of the sorted arrays, stepped in one pass with per-path
+coefficients.  The noise keying is the same either way: one block per
+(step, level, substep) for all the paths at that level.  NoiseStream
+reseats a single Philox generator per noise block, and the surrogate
+(reduced.run_reduced) draws from it too.
 
 Lookahead: a block is keyed on its counter words alone, so it can be drawn
 before it is needed, with the same bits.  run_paths and run_reduced hand the
@@ -176,18 +182,26 @@ class NoiseStream:
         return self.block(sub, (step << 8) | (group & 0xFF), shape)
 
 
-def _strang(q0, q1, p0, p1, f0, f1, h, params, z):
+def _coefficients(h, params):
+    """The factors of one Strang step of length h: the OU decay c of h/2,
+    the noise scales s0 (damped momentum, exact OU) and s1 (undamped
+    momentum) of h/2, the half step h/2 and h itself."""
+    g, T, Ti = params.gamma, params.t_cold, params.t_hot
+    c = math.exp(-g * h / 2)
+    return (c, math.sqrt(T * (1 - c * c)), math.sqrt(2 * g * Ti * h / 2),
+            0.5 * h, h)
+
+
+def _strang(q0, q1, p0, p1, f0, f1, coef, params, z):
     """One step: OU(h/2) on the momenta, velocity Verlet(h), OU(h/2).
 
     The friction+noise update on p0 is the exact Ornstein-Uhlenbeck kernel;
     p1 gets an exact Gaussian increment (no friction).  (f0, f1) are the
-    forces at (q0, q1).  Returns the new (q0, q1, p0, p1) in fresh arrays and
+    forces at (q0, q1); coef is _coefficients(h, params), either as five
+    scalars or as five arrays with one entry per path, which give the same
+    bits path by path.  Returns the new (q0, q1, p0, p1) in fresh arrays and
     the forces at the new positions; the inputs are not written to."""
-    g, T, Ti = params.gamma, params.t_cold, params.t_hot
-    c = math.exp(-g * h / 2)
-    s0 = math.sqrt(T * (1 - c * c))
-    s1 = math.sqrt(2 * g * Ti * h / 2)
-    hh = 0.5 * h
+    c, s0, s1, hh, h = coef
     a = np.empty_like(p0)
     P0 = np.multiply(c, p0)                 # p0 = c * p0 + s0 * z[0]
     P0 += np.multiply(s0, z[0], out=a)
@@ -223,32 +237,55 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
 
     When no force exceeds cfg.substep_cap, or max_halvings is 0, every path is
     at level 0 and the whole ensemble takes one step on one noise block.
-    Otherwise paths are grouped by their halving level; each group consumes
-    its own noise blocks, so the draws a path sees depend on (seed, step,
-    level) and on its position among the paths at that level.  The forces
-    of the halving test feed the first half-kick.  With halving on, a
-    non-finite force there raises check_finite's IntegrationError at
-    t = (step_index + 1) dt, naming the first such path, before any substep.
-    Returns fresh arrays; the inputs are not written to."""
+    Otherwise a path at halving level l takes 2**l substeps of cfg.dt / 2**l.
+    With top the deepest level in use, the step runs as 2**top ticks of the
+    finest substep; a path at level l moves at tick t when t is a multiple
+    of 2**(top - l).  The paths are stable-sorted by level, deepest first,
+    so the paths that move at a tick are a prefix of the sorted arrays and
+    take one Strang pass together, each with its own level's coefficients;
+    the forces at the end of a substep feed the next one's first half-kick,
+    and the forces of the halving test the first.  Noise keeps its keying:
+    one block per (level, substep) for all the paths at that level, so the
+    draws a path sees depend on (seed, step, level) and on its position
+    among the paths at that level; a tick joins its levels' blocks along
+    the path axis.  With halving on, a non-finite force in the halving
+    test raises check_finite's IntegrationError at t = (step_index + 1) dt,
+    naming the first such path, before any substep.  Returns fresh arrays;
+    the inputs are not written to."""
     q0, q1, p0, p1 = (np.asarray(v, dtype=float) for v in (q0, q1, p0, p1))
     f0, f1 = forces(q0, q1, params)
-    if cfg.max_halvings == 0 or (top := np.max(np.maximum(
+    if cfg.max_halvings == 0 or (fmax := np.max(np.maximum(
             np.abs(f0), np.abs(f1)), initial=0.0)) / cfg.substep_cap <= 1.0:
         z = noise.normals(step_index, 0, 0, (4, q0.size))
-        return list(_strang(q0, q1, p0, p1, f0, f1, cfg.dt, params, z)[:4])
-    if not np.isfinite(top):
+        return list(_strang(q0, q1, p0, p1, f0, f1,
+                            _coefficients(cfg.dt, params), params, z)[:4])
+    if not np.isfinite(fmax):
         check_finite((step_index + 1) * cfg.dt, f0, f1)
     m = _halving_levels(f0, f1, cfg)
-    out = [np.array(v) for v in (q0, q1, p0, p1)]
-    for level in np.unique(m).tolist():
-        sel = m == level
-        x = [v[sel] for v in (*out, f0, f1)]
-        h = cfg.dt / (1 << level)
-        for j in range(1 << level):
-            z = noise.normals(step_index, level, j, (4, x[0].size))
-            x = _strang(*x, h, params, z)
-        for v, s in zip(out, x[:4]):
-            v[sel] = s
+    order = np.argsort(-m, kind="stable")       # deepest level first
+    sizes = np.bincount(m).tolist()[::-1]       # paths per level, same order
+    top = len(sizes) - 1
+    # (level, its paths, the paths at it or deeper) of each level in use
+    groups = [(top - i, size, sum(sizes[:i + 1]))
+              for i, size in enumerate(sizes) if size]
+    x = [v[order] for v in (q0, q1, p0, p1, f0, f1)]
+    table = [_coefficients(cfg.dt / (1 << lv), params)
+             for lv in range(top, -1, -1)]
+    coef = np.repeat(np.array(table).T, sizes, axis=1)
+    for t in range(1 << top):
+        # the levels >= top - (trailing zeros of t) move: all at t = 0
+        low = top + 1 - (t & -t).bit_length() if t else 0
+        moving = [g for g in groups if g[0] >= low]
+        n = moving[-1][2]
+        z = [noise.normals(step_index, lv, t >> (top - lv), (4, size))
+             for lv, size, _ in moving]
+        z = z[0] if len(z) == 1 else np.concatenate(z, axis=1)
+        new = _strang(*(v[:n] for v in x), coef[:, :n], params, z)
+        for v, w in zip(x, new):
+            v[:n] = w
+    out = [np.empty_like(q0) for _ in range(4)]
+    for v, w in zip(out, x):
+        v[order] = w
     return out
 
 

@@ -232,6 +232,19 @@ class TestArtifacts:
         hf0 = p0 ** 2 / 2 + np.abs(q0) ** (2 * k) / (2 * k)
         assert float(last["mean"]) == pytest.approx(hf0.mean(), rel=1e-12)
 
+    @pytest.mark.parametrize("k, noted", [(3.0, True), (2.0, False)])
+    def test_uncorrected_hf0_is_noted_on_stderr(self, tmp_path, capsys, k,
+                                                noted):
+        cfg = (f"model.k = {k}\nintegrator.t_end = 0.05\n"
+               "ensemble.n_paths = 8\nobservables.names = H,Hf0\n")
+        code, _ = run(tmp_path, "simulate", cfg)
+        assert code == 0
+        err = capsys.readouterr().err
+        note = (f"note: at k = {k:g} Hf0 is the uncorrected free energy "
+                "p0^2/2 + |q0|^(2k)/(2k); the phi correction exists for "
+                "1 < k <= 2 only\n")
+        assert err == (note if noted else "")
+
     def test_reduced_reports(self, tmp_path):
         cfg = ("reduced.eta = 3.0\nreduced.sigma = -1.0\n"
                "reduced.n_paths = 500\nreduced.t_end = 5.0\n")

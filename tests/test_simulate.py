@@ -127,6 +127,36 @@ STIFF_CFG = sim.IntegratorConfig(dt=0.05, t_end=2.0, substep_cap=10.0,
                                  max_halvings=3)
 
 
+GAPPED_CFG = sim.IntegratorConfig(dt=0.05, substep_cap=1.0, max_halvings=4)
+
+
+def _at_levels(levels, params=P2, cfg=GAPPED_CFG):
+    """Starting arrays with path i at halving level levels[i] on the first
+    step: q0 solves q0^3 + q0 = 0.75 * 2**level * substep_cap at q1 = 0
+    (|f0| = q0^3 + q0 and |f1| = q0 at k = 2), with random momenta."""
+    q0 = []
+    for lv in levels:
+        roots = np.roots([1.0, 0.0, 1.0, -0.75 * 2.0 ** lv * cfg.substep_cap])
+        q0.append(roots[np.argmin(np.abs(roots.imag))].real)
+    p0, p1 = np.random.default_rng(len(levels)).standard_normal((2, len(q0)))
+    x = [np.array(q0), np.zeros(len(q0)), p0, p1]
+    assert sim._halving_levels(*forces(x[0], x[1], params),
+                               cfg).tolist() == list(levels)
+    return x
+
+
+class _Spy(sim.NoiseStream):
+    """A NoiseStream that records the (group, sub, shape) of each call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def normals(self, step, group, sub, shape):
+        self.calls.append((group, sub, shape))
+        return super().normals(step, group, sub, shape)
+
+
 class TestStepKernel:
     @pytest.mark.parametrize("params, cfg, x0, n, levels", [
         # halving off, and level 0 only with one path and with many
@@ -146,12 +176,29 @@ class TestStepKernel:
         (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.01, substep_cap=4.0,
                                                max_halvings=4),
          State4(2.0, -2.0, 0.0, 0.0), 1, {0, 1, 2, 3, 4}),
+        # per-path starts whose first step has one level above 0, a gap, or
+        # gaps and no level 0
+        (P2, GAPPED_CFG, _at_levels([2] * 16), 16, {0, 1, 2, 3, 4}),
+        (P2, GAPPED_CFG, _at_levels([0, 3, 0, 0, 3, 0, 3, 3, 0, 0, 0, 3, 0]),
+         13, {0, 1, 2, 3, 4}),
+        (P2, GAPPED_CFG, _at_levels([4, 1, 2, 2, 1, 4, 1, 1, 2, 4, 1]), 11,
+         {0, 1, 2, 3, 4}),
+        (P2, GAPPED_CFG, _at_levels([1, 2, 4]), 3, {0, 1, 2, 3, 4}),
     ])
     def test_equals_allocating_kernel_bit_for_bit(self, params, cfg, x0, n,
-                                                  levels):
+                                                  levels, monkeypatch):
+        # every step's states equal the reference bit for bit, and the step
+        # draws the reference's multiset of noise blocks
         seed, n_steps = 11, 40
-        noise = sim.NoiseStream(seed)
-        x = [np.full(n, float(v)) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
+        noise, want_calls, draw = _Spy(seed), [], _ref_normals
+
+        def ref_normals(key, step, group, sub, shape):
+            want_calls.append((group, sub, shape))
+            return draw(key, step, group, sub, shape)
+
+        monkeypatch.setitem(globals(), "_ref_normals", ref_normals)
+        x = ([np.full(n, float(v)) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
+             if isinstance(x0, State4) else x0)
         seen = set()
         for i in range(n_steps):
             seen |= _levels(x, params, cfg)
@@ -162,8 +209,27 @@ class TestStepKernel:
                 assert np.array_equal(b, v)     # inputs left unchanged
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+            assert sorted(noise.calls) == sorted(want_calls)
+            noise.calls.clear()
+            want_calls.clear()
             x = got
         assert seen == levels
+
+    def test_one_force_evaluation_per_tick(self, monkeypatch):
+        # levels 0-3: the halving test plus one pass per finest substep,
+        # not one pass per (level, substep)
+        counts = []
+
+        def counting(q0, q1, params):
+            counts.append(np.size(q0))
+            return forces(q0, q1, params)
+
+        x = _at_levels([0, 1, 2, 3, 3, 2, 1, 0])
+        monkeypatch.setattr(sim, "forces", counting)
+        sim.step_ensemble(*x, 0, GAPPED_CFG, P2, sim.NoiseStream(3))
+        assert len(counts) == 1 + 2 ** 3
+        # tick t moves the levels >= 3 - (trailing zeros of t)
+        assert counts == [8, 8, 2, 4, 2, 6, 2, 4, 2]
 
 
 class TestRunPaths:
@@ -214,20 +280,14 @@ class TestHalvingLevels:
             assert np.unique(m).tolist() == list(range(cfg.max_halvings + 1))
 
     def test_non_finite_force_raises_before_any_substep(self):
-        calls = []
-
-        class Spy(sim.NoiseStream):
-            def normals(self, step, group, sub, shape):
-                calls.append((group, sub, shape))
-                return super().normals(step, group, sub, shape)
-
         # 2^18 + 1 noise blocks if the inf force were stepped at max_halvings
         cfg = sim.IntegratorConfig(dt=0.01, substep_cap=50.0, max_halvings=18)
         x = [np.array([1.0, 1e200]), np.zeros(2), np.zeros(2), np.zeros(2)]
+        noise = _Spy(0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(sim.IntegrationError) as exc:
-            sim.step_ensemble(*x, 4, cfg, P2, Spy(0))
-        assert calls == []
+            sim.step_ensemble(*x, 4, cfg, P2, noise)
+        assert noise.calls == []
         assert (exc.value.time, exc.value.path) == (5 * 0.01, 1)
         assert str(exc.value) == ("non-finite state in ensemble at t=0.05, "
                                   "path 1")
@@ -542,8 +602,8 @@ class TestSchemes:
         nd = 4
 
         def core(q0, q1, p0, p1, h, params, z):
-            return sim._strang(q0, q1, p0, p1, *forces(q0, q1, params), h,
-                               params, z)[:4]
+            return sim._strang(q0, q1, p0, p1, *forces(q0, q1, params),
+                               sim._coefficients(h, params), params, z)[:4]
 
         G = np.zeros((4, 4))
         zeros = np.zeros((nd, 1))
