@@ -22,10 +22,9 @@ from . import reduced as rd
 from . import simulate as sim
 from . import presets as pre
 from . import lyapunov as ly
-from .config import (ConfigError, parse_config_text,
-                     model_from_config, integrator_from_config, manifest,
-                     write_json)
-from .model import State4
+from .config import (ConfigError, parse_config_text, from_section,
+                     chain_from_config, manifest, write_json)
+from .model import ModelParams
 
 CCDF_POINTS = 200   # log-spaced order statistics written to ccdf.csv
 
@@ -55,9 +54,15 @@ def _prepare(args, command):
     return cfg, out, seed
 
 
+def _report(out, report) -> None:
+    """Write report.json into out and print the same JSON."""
+    write_json(out / "report.json", report)
+    print(json.dumps(report, indent=2, sort_keys=True))
+
+
 def cmd_constants(args) -> int:
     cfg, out, seed = _prepare(args, "constants")
-    p = model_from_config(cfg)
+    p = from_section(ModelParams, "model", cfg)
     ch = osc.c_hat()
     report = {
         "c_hat": ch,
@@ -67,14 +72,13 @@ def cmd_constants(args) -> int:
         "critical_t_hot": p.alpha ** 2 * ch,
         "kinetic_finiteness_fraction": rd.KINETIC_FINITENESS_FRACTION,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    write_json(out / "report.json", report)
+    _report(out, report)
     return 0
 
 
 def cmd_phase_diagram(args) -> int:
     cfg, out, seed = _prepare(args, "phase-diagram")
-    base = model_from_config(cfg)
+    base = from_section(ModelParams, "model", cfg)
     ch = osc.c_hat()
     t_hots = cfg["grid.t_hot_values"] or (base.t_hot,)
     rows = []
@@ -124,42 +128,37 @@ def _stats_rows(series):
     rows = []
     for name, st in series.stats.items():
         for i, t in enumerate(series.times):
-            rows.append([t, name, st["mean"][i], st["q05"][i],
-                         st["q50"][i], st["q95"][i]])
+            rows.append([t, name, st["mean"][i],
+                         *(st[q][i] for q in sim.QUANTILES)])
     return rows
 
 
 def cmd_simulate(args) -> int:
     cfg, out, seed = _prepare(args, "simulate")
-    p = model_from_config(cfg)
-    icfg = integrator_from_config(cfg)
-    x0 = State4(*cfg["ensemble.x0"])
+    p, icfg, x0, n = chain_from_config(cfg)
     obs = _observables(cfg["observables.names"], p)
-    series = sim.simulate_ensemble(x0, icfg, p, obs, seed=seed,
-                                   n_paths=cfg["ensemble.n_paths"])
-    _write_csv(out / "stats.csv",
-               ["t", "observable", "mean", "q05", "q50", "q95"],
+    series = sim.simulate_ensemble(x0, icfg, p, obs, seed=seed, n_paths=n)
+    _write_csv(out / "stats.csv", ["t", "observable", "mean", *sim.QUANTILES],
                _stats_rows(series))
     if cfg["samples.dump"]:
         _write_csv(out / "samples.csv", ["q0", "q1", "p0", "p1"],
                    series.final.as_array().T.tolist())
-    print(f"simulated {cfg['ensemble.n_paths']} paths to t={icfg.t_end}; "
-          f"stats in {out/'stats.csv'}")
+    print(f"simulated {n} paths to t={icfg.t_end}; stats in {out/'stats.csv'}")
     return 0
 
 
 def cmd_tails(args) -> int:
     cfg, out, seed = _prepare(args, "tails")
-    p = model_from_config(cfg)
-    icfg = integrator_from_config(cfg)
-    x0 = State4(*cfg["ensemble.x0"])
-    n = cfg["ensemble.n_paths"]
+    p, icfg, x0, n = chain_from_config(cfg)
+    thin = cfg["tails.thin_stride"]
+    if thin < 1:
+        raise ConfigError(f"tails.thin_stride = {thin} is not a positive "
+                          "stride")
     h_of = sim.obs_energy(p)
 
     # burn in, then pool H over paths x thinned snapshots
     n_steps = int(round(icfg.t_end / icfg.dt))
     burn_steps = int(round(cfg["tails.burn_in"] * n_steps))
-    thin = max(1, cfg["tails.thin_stride"])
     chunks = []
     for i, s in sim.run_paths(x0, n, seed, n_steps, icfg, p):
         if i > burn_steps and (i - 1 - burn_steps) % thin == 0:
@@ -171,9 +170,8 @@ def cmd_tails(args) -> int:
               "heavy_tail": hill.heavy_tail,
               "index_by_fraction": hill.index_by_fraction,
               "n_samples": int(samples.size)}
-    write_json(out / "report.json", report)
     _write_csv(out / "ccdf.csv", ["x", "value"], _ccdf_rows(samples))
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _report(out, report)
     return 0
 
 
@@ -186,9 +184,7 @@ def _ccdf_rows(samples):
 
 def cmd_convergence(args) -> int:
     cfg, out, seed = _prepare(args, "convergence")
-    p = model_from_config(cfg)
-    icfg = integrator_from_config(cfg)
-    n = cfg["ensemble.n_paths"]
+    p, icfg, x0, n = chain_from_config(cfg)
     burn = cfg["convergence.burn_in"]
     binning = cfg["convergence.binning"]
     n_times = cfg["convergence.n_times"]
@@ -202,7 +198,6 @@ def cmd_convergence(args) -> int:
 
     # stationary reference: long burn-in from a moderate-energy start
     ref_cfg = replace(icfg, t_end=burn)
-    x0 = State4(*cfg["ensemble.x0"])
     ref = sim.simulate_ensemble(x0, ref_cfg, p, {}, seed=seed + 1,
                                 n_paths=n).final.as_array().T
     ref2 = sim.simulate_ensemble(x0, ref_cfg, p, {}, seed=seed + 2,
@@ -228,8 +223,7 @@ def cmd_convergence(args) -> int:
                        "all_residuals": fit.all_residuals})
     else:
         report["family"] = "inconclusive"
-    write_json(out / "report.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _report(out, report)
     return 0
 
 
@@ -294,8 +288,7 @@ def cmd_reduced(args) -> int:
                    _ccdf_rows(samples))
         report["sample_mean"] = float(samples.mean())
         report["sample_q95"] = float(np.quantile(samples, 0.95))
-    write_json(out / "report.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _report(out, report)
     return 0
 
 

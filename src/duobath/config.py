@@ -1,9 +1,10 @@
 """Flat key-value experiment configuration with dotted section names.
 
 One `section.key = value` pair per line; `#` starts a comment.  Every command
-declares its schema up front; unknown keys or malformed values are rejected
-before any computation starts, and the fully resolved configuration is echoed
-into the run manifest.
+declares its schema up front as key -> default, and a key's type is its
+default's type; unknown keys or malformed values are rejected before any
+computation starts, and the fully resolved configuration is echoed into the
+run manifest.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import importlib.metadata
 import json
 import platform
-from typing import Dict, Tuple
+from dataclasses import fields
+from typing import Dict
 
-from .model import ModelParams
+from .model import ModelParams, State4
 from .simulate import IntegratorConfig
 
 
@@ -33,75 +35,65 @@ def _parse_floats(s: str):
     return tuple(float(tok) for tok in s.replace(",", " ").split())
 
 
-_CASTERS = {
-    "float": float,
-    "int": int,
-    "str": str,
-    "bool": _parse_bool,
-    "floats": _parse_floats,
-}
+# caster by the exact type of a key's default (bool is a subclass of int)
+_CASTERS = {float: float, int: int, str: str, bool: _parse_bool,
+            tuple: _parse_floats}
 
 MODEL_SCHEMA = {
-    "model.alpha": ("float", 1.0),
-    "model.gamma": ("float", 1.0),
-    "model.t_cold": ("float", 1.0),
-    "model.t_hot": ("float", 0.3),
-    "model.k": ("float", 2.0),
-    "model.smoothing": ("str", "pure-power"),
+    "model.alpha": 1.0,
+    "model.gamma": 1.0,
+    "model.t_cold": 1.0,
+    "model.t_hot": 0.3,
+    "model.k": 2.0,
+    "model.smoothing": ModelParams.smoothing,
 }
 
-INTEGRATOR_SCHEMA = {
-    "integrator.dt": ("float", 0.005),
-    "integrator.t_end": ("float", 10.0),
-    "integrator.record_stride": ("int", 10),
-    "integrator.substep_cap": ("float", 100.0),
-    "integrator.max_halvings": ("int", 10),
-}
+INTEGRATOR_SCHEMA = {f"integrator.{f.name}": f.default
+                     for f in fields(IntegratorConfig)}
 
 ENSEMBLE_SCHEMA = {
-    "ensemble.n_paths": ("int", 512),
-    "ensemble.x0": ("floats", (1.0, -1.0, 0.5, 0.5)),
+    "ensemble.n_paths": 512,
+    "ensemble.x0": (1.0, -1.0, 0.5, 0.5),
 }
 
-SCHEMAS: Dict[str, Dict[str, Tuple[str, object]]] = {
+SCHEMAS: Dict[str, Dict[str, object]] = {
     "constants": {**MODEL_SCHEMA},
     "phase-diagram": {
         **MODEL_SCHEMA,
-        "grid.k_values": ("floats", (0.4, 0.75, 1.0, 1.2, 1.5,
-                                     1.9999, 2.0, 2.0001, 3.0)),
-        "grid.t_hot_values": ("floats", ()),   # empty -> model.t_hot only
+        "grid.k_values": (0.4, 0.75, 1.0, 1.2, 1.5, 1.9999, 2.0, 2.0001, 3.0),
+        "grid.t_hot_values": (),   # empty -> model.t_hot only
     },
     "simulate": {
         **MODEL_SCHEMA, **INTEGRATOR_SCHEMA, **ENSEMBLE_SCHEMA,
-        "observables.names": ("str", "H,p0_sq,p1_sq"),
-        "samples.dump": ("bool", False),
+        "observables.names": "H,p0_sq,p1_sq",
+        "samples.dump": False,
     },
     "tails": {
         **MODEL_SCHEMA, **INTEGRATOR_SCHEMA, **ENSEMBLE_SCHEMA,
-        "tails.top_fraction": ("float", 0.01),
-        "tails.burn_in": ("float", 0.5),      # fraction of t_end discarded
-        "tails.thin_stride": ("int", 10),
+        "tails.top_fraction": 0.01,
+        "tails.burn_in": 0.5,      # fraction of t_end discarded
+        "tails.thin_stride": 10,
     },
     "convergence": {
         **MODEL_SCHEMA, **INTEGRATOR_SCHEMA, **ENSEMBLE_SCHEMA,
-        "convergence.binning": ("int", 4),
-        "convergence.burn_in": ("float", 40.0),
-        "convergence.n_times": ("int", 24),
-        "convergence.noise_floor_factor": ("float", 2.0),
+        "convergence.binning": 4,
+        "convergence.burn_in": 40.0,
+        "convergence.n_times": 24,
+        "convergence.noise_floor_factor": 2.0,
     },
     "verify": {
-        "verify.preset": ("str", "positive-k2"),
-        "verify.n": ("int", 10000),
+        "verify.preset": "positive-k2",
+        "verify.n": 10000,
     },
     "reduced": {
-        "reduced.mode": ("str", "all"),        # density | simulate | classify | all
-        "reduced.eta": ("float", 3.0),
-        "reduced.sigma": ("float", -1.0),
-        "reduced.dt": ("float", 0.01),
-        "reduced.t_end": ("float", 200.0),
-        "reduced.n_paths": ("int", 100000),
-        "reduced.x_max": ("float", 50.0),
-        "reduced.n_grid": ("int", 400),
+        "reduced.mode": "all",        # density | simulate | classify | all
+        "reduced.eta": 3.0,
+        "reduced.sigma": -1.0,
+        "reduced.dt": 0.01,
+        "reduced.t_end": 200.0,
+        "reduced.n_paths": 100000,
+        "reduced.x_max": 50.0,
+        "reduced.n_grid": 400,
     },
 }
 
@@ -110,7 +102,7 @@ def parse_config_text(text: str, command: str) -> dict:
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
     schema = SCHEMAS[command]
-    resolved = {key: default for key, (_, default) in schema.items()}
+    resolved = dict(schema)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,33 +114,33 @@ def parse_config_text(text: str, command: str) -> dict:
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r} "
                               f"for command {command!r}")
-        kind = schema[key][0]
         try:
-            resolved[key] = _CASTERS[kind](val)
+            resolved[key] = _CASTERS[type(schema[key])](val)
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}")
     return resolved
 
 
-def model_from_config(cfg: dict) -> ModelParams:
+def from_section(cls, section: str, cfg: dict):
+    """The dataclass cls built from the keys `section.<field>` of cfg."""
     try:
-        return ModelParams(alpha=cfg["model.alpha"], gamma=cfg["model.gamma"],
-                           t_cold=cfg["model.t_cold"],
-                           t_hot=cfg["model.t_hot"], k=cfg["model.k"],
-                           smoothing=cfg["model.smoothing"])
+        return cls(**{f.name: cfg[f"{section}.{f.name}"] for f in fields(cls)})
     except ValueError as e:
         raise ConfigError(str(e))
 
 
-def integrator_from_config(cfg: dict) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(
-            dt=cfg["integrator.dt"], t_end=cfg["integrator.t_end"],
-            record_stride=cfg["integrator.record_stride"],
-            substep_cap=cfg["integrator.substep_cap"],
-            max_halvings=cfg["integrator.max_halvings"])
-    except ValueError as e:
-        raise ConfigError(str(e))
+def chain_from_config(cfg: dict):
+    """The chain's sections of cfg: (params, integrator, x0, n_paths)."""
+    params = from_section(ModelParams, "model", cfg)
+    icfg = from_section(IntegratorConfig, "integrator", cfg)
+    x0, n_paths = cfg["ensemble.x0"], cfg["ensemble.n_paths"]
+    if len(x0) != 4:
+        raise ConfigError(f"ensemble.x0 has {len(x0)} numbers, not the 4 of "
+                          "q0 q1 p0 p1")
+    if n_paths < 1:
+        raise ConfigError(f"ensemble.n_paths = {n_paths} is not a positive "
+                          "number of paths")
+    return params, icfg, State4(*x0), n_paths
 
 
 def manifest(command: str, cfg: dict, seed: int, out: str) -> dict:

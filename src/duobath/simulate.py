@@ -363,13 +363,14 @@ def obs_p1_sq(params):
     return lambda s: np.asarray(s.p1) ** 2
 
 
-DEFAULT_QUANTILES = (0.05, 0.5, 0.95)
+# quantiles recorded for each observable: stats key -> level
+QUANTILES = {"q05": 0.05, "q50": 0.5, "q95": 0.95}
 
 
 @dataclass
 class EnsembleSeries:
     times: np.ndarray
-    stats: Dict[str, Dict[str, np.ndarray]]   # name -> {mean, q05, q50, q95, sem}
+    stats: Dict[str, Dict[str, np.ndarray]]   # name -> {mean, *QUANTILES, sem}
     final: State4
 
 
@@ -390,13 +391,13 @@ def simulate_ensemble(x0: State4, cfg: IntegratorConfig, params: ModelParams,
     stats = {}
     for name, rows in rec.items():
         arr = np.stack(rows)  # (n_times, n_paths)
-        qs = np.quantile(arr, DEFAULT_QUANTILES, axis=1)
+        qs = np.quantile(arr, list(QUANTILES.values()), axis=1)
         npaths = arr.shape[1]
         sem = (arr.std(axis=1, ddof=1) / math.sqrt(npaths) if npaths > 1
                else np.zeros(arr.shape[0]))
         stats[name] = {
             "mean": arr.mean(axis=1),
-            "q05": qs[0], "q50": qs[1], "q95": qs[2],
+            **dict(zip(QUANTILES, qs)),
             "sem": sem,
         }
     return EnsembleSeries(times=np.asarray(rec_t), stats=stats, final=s)

@@ -52,6 +52,16 @@ class TestConfigParsing:
         assert cfg["samples.dump"] is True
         assert cfg["ensemble.x0"] == (1.0, 2.0, 3.0, 4.0)
 
+    def test_a_key_takes_the_type_of_its_default(self):
+        cfg = parse_config_text("integrator.t_end = 1\n"
+                                "integrator.max_halvings = 3\n"
+                                "samples.dump = 1\n", "simulate")
+        assert type(cfg["integrator.t_end"]) is float
+        assert type(cfg["integrator.max_halvings"]) is int
+        assert cfg["samples.dump"] is True
+        with pytest.raises(ConfigError, match="integrator.record_stride"):
+            parse_config_text("integrator.record_stride = 2.5", "simulate")
+
 
 class TestExitCodes:
     def test_constants_ok(self, tmp_path, capsys):
@@ -136,6 +146,32 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("configuration error:") and "densty" in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "tails", "convergence"])
+    @pytest.mark.parametrize("cfg, named", [
+        ("ensemble.x0 = 1 2 3\n", "ensemble.x0 has 3 numbers"),
+        ("ensemble.n_paths = 0\n", "ensemble.n_paths = 0 "),
+        ("ensemble.n_paths = -1\n", "ensemble.n_paths = -1 "),
+    ])
+    def test_bad_ensemble_is_a_configuration_error(self, tmp_path, capsys,
+                                                   command, cfg, named):
+        code, out = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and named in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("thin", [0, -2])
+    def test_thin_stride_below_1_is_a_configuration_error(self, tmp_path,
+                                                          capsys, thin):
+        code, out = run(tmp_path, "tails", "integrator.t_end = 0.1\n"
+                        f"ensemble.n_paths = 8\ntails.thin_stride = {thin}\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert f"tails.thin_stride = {thin} " in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_integrator_scheme_key_is_exit_1(self, tmp_path, capsys):
         # Strang splitting is the only scheme; even its old name is rejected
