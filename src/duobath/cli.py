@@ -263,7 +263,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reduced(args) -> int:
     cfg, out, seed = _prepare(args, "reduced")
-    rp = rd.ReducedParams(eta=cfg["reduced.eta"], sigma=cfg["reduced.sigma"])
+    rp = from_section(rd.ReducedParams, "reduced", cfg)
     mode = cfg["reduced.mode"]
     if mode not in ("density", "simulate", "classify", "all"):
         raise ConfigError(f"reduced.mode = {mode!r} is not one of density, "

@@ -72,7 +72,7 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
         **MODEL_SCHEMA, **INTEGRATOR_SCHEMA, **ENSEMBLE_SCHEMA,
         "tails.top_fraction": 0.01,
         "tails.burn_in": 0.5,      # fraction of t_end discarded
-        "tails.thin_stride": 10,
+        "tails.thin_stride": 5,
     },
     "convergence": {
         **MODEL_SCHEMA, **INTEGRATOR_SCHEMA, **ENSEMBLE_SCHEMA,

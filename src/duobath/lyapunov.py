@@ -391,9 +391,13 @@ def w_exp_frac(params: ModelParams, *, theta=0.05, eta_cutoff=2.0,
                                "kappa": kappa, "delta": delta})
 
 
+def energy(params: ModelParams) -> PlainForm:
+    """The total energy H, carried wholly through h_coeff."""
+    return PlainForm(lambda x, p: jet_const(0.0), name="H", h_coeff=1.0)
+
+
 def exp_h(params: ModelParams, *, beta=1.0) -> ExpForm:
-    base = PlainForm(lambda x, p: jet_const(0.0), name="H", h_coeff=1.0)
-    return ExpForm(base, *_linear(beta), name=f"exp({beta}*H)",
+    return ExpForm(energy(params), *_linear(beta), name=f"exp({beta}*H)",
                    parameters={"beta": beta})
 
 
@@ -466,7 +470,8 @@ ORBIT_ENERGY_TOL = 1e-5   # (7.4e-9 near k = 1.06, 4e-11 at k = 1.5)
 @dataclass(frozen=True)
 class ShellSpec:
     """Shell ladder of a verification: bands H in [r, HI_RATIO*r] from
-    r = r0, which verify_sign doubles at most max_doublings times."""
+    r = r0, which verify_sign doubles at most max_doublings times;
+    wonham_report reads r0 only and uses N_SHELLS shells."""
 
     r0: float = 100.0
     max_doublings: int = 12
@@ -739,19 +744,20 @@ class WonhamReport:
         return asdict(self)
 
 
-def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
-                  shell: ShellSpec, n: int = 4000, seed: int = 0
-                  ) -> WonhamReport:
+def wonham_report(w1_form, params: ModelParams, shell: ShellSpec,
+                  n: int = 4000, seed: int = 0) -> WonhamReport:
     """Check the four hypotheses of the two-function non-existence criterion
-    on a ladder of N_SHELLS doubling shells.
+    on a ladder of N_SHELLS doubling shells from shell.r0.
 
-    W1 and W2 are plain forms, read and compared on the plain scale (every
-    evidence entry's log_scale is False), on shells sampled with W1's
-    shell_phi; f_bound(states, params) is the integrability weight F
-    evaluated on states.
+    W1 is a plain form, W2 = H (energy) and F = gamma (T + T_inf) bounds
+    L H = F - gamma p0^2.  Both are read and compared on the plain scale
+    (every evidence entry's log_scale is False), on shells sampled with
+    W1's shell_phi.
     """
-    if "exp" in (w1_form.kind, w2_form.kind):
+    if w1_form.kind == "exp":
         raise ValueError("wonham_report checks plain forms only")
+    w2 = energy(params)
+    f = params.gamma * (params.t_cold + params.t_hot)
     phi = w1_form.shell_phi
     ladder = [shell.r0 * 2 ** i for i in range(N_SHELLS)]
     sup_w1, inf_w2, shells_checked = [], [], []
@@ -764,13 +770,13 @@ def wonham_report(w1_form, w2_form, f_bound: Callable, params: ModelParams,
         level = sample_shell(params, r, 1.05 * r, n, rng, phi=phi)
         shells_checked.append((r, HI_RATIO * r))
         sup_w1.append(float(np.max(w1_form.values(level, params))))
-        inf_w2.append(float(np.min(w2_form.values(level, params))))
+        inf_w2.append(float(np.min(w2.values(level, params))))
         if i >= N_SHELLS - 2:
             states = sample_shell(params, r, HI_RATIO * r, n, rng, phi=phi)
             s1 = w1_form.evaluate(states, params)
-            s2 = w2_form.evaluate(states, params)
+            s2 = w2.evaluate(states, params)
             viol_w1 += int(np.sum(s1.drift < 0))
-            viol_w2 += int(np.sum(s2.drift > f_bound(states, params)))
+            viol_w2 += int(np.sum(s2.drift > f))
             samples_last += n
 
     sup_w1 = np.array(sup_w1)

@@ -1,20 +1,19 @@
 """Frozen verification presets.
 
 Every preset pins model parameters, the drift family (one of the builders
-in duobath.lyapunov) with its keyword parameters, the drift predicate with
-its constant, and the shell ladder.  The free constants were fixed by grid
-search against the stabilization criterion and are part of the contract:
-tests run them as-is.  PRESETS maps each name to the function that makes
-the preset, and run_preset builds its form, so a preset's tables (and any
-orbit they need) are built only when the preset is run.
+in duobath.lyapunov) with its keyword parameters, the shell ladder and, for
+a sign check, the drift predicate with its constant.  The free constants
+were fixed by grid search against the stabilization criterion and are part
+of the contract: tests run them as-is.  PRESETS maps each name to the
+function that makes the preset, and run_preset builds its form, so a
+preset's tables (and any orbit they need) are built only when the preset
+is run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict
-
-import numpy as np
+from typing import Callable, Dict, Optional
 
 from .model import ModelParams
 from .oscillator import c_hat
@@ -26,9 +25,9 @@ class VerifyPreset:
     params: ModelParams
     family: Callable          # a drift-family builder of duobath.lyapunov
     parameters: Dict[str, float]
-    predicate: ly.Predicate
     shell: ly.ShellSpec
-    kind: str = "sign"           # sign | wonham | wonham-sabotaged
+    kind: str = "sign"           # sign | wonham
+    predicate: Optional[ly.Predicate] = None   # read by kind sign only
 
 
 def _k2_params(t_hot: float) -> ModelParams:
@@ -49,12 +48,11 @@ PRESETS = {
         params=_k2_params(2.0 * c_hat()),
         family=ly.w1_nonexist,
         parameters={"theta": 0.08, "delta": 0.15, "zeta": 0.05, "E": 1e4},
-        predicate=ly.drift_above(0.0, "L W1 >= 0"),
         shell=ly.ShellSpec(r0=4e5, max_doublings=8),
         kind="wonham"),
     # control with W1 = H: must fail the drift hypothesis (L H flips with p0)
     "negative-k2-sabotaged": lambda: replace(
-        PRESETS["negative-k2"](), kind="wonham-sabotaged"),
+        PRESETS["negative-k2"](), family=ly.energy, parameters={}),
     # k=1.5 fractional exponential: log-scale drift of exp(delta V^kappa)
     "frac-k15": lambda: VerifyPreset(
         params=ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=1.0,
@@ -97,17 +95,10 @@ def get_preset(name: str) -> VerifyPreset:
 
 def run_preset(name: str, n: int = 10_000, seed: int = 0):
     """Execute a preset; returns a VerificationReport for kind 'sign' and a
-    WonhamReport for the two-function kinds."""
+    WonhamReport for kind 'wonham'."""
     p = get_preset(name)
+    form = p.family(p.params, **p.parameters)
     if p.kind == "sign":
-        form = p.family(p.params, **p.parameters)
         return ly.verify_sign(form, p.predicate, p.shell, n, seed, p.params)
-    # two-function criteria with W2 = H and the constant weight F
-    w2 = ly.PlainForm(lambda x, pr: ly.jet_const(0.0), name="H", h_coeff=1.0)
-    f_const = p.params.gamma * (p.params.t_cold + p.params.t_hot)
-    f_bound = lambda states, pr: np.full_like(np.asarray(states.p0), f_const)
-    w1 = (ly.PlainForm(w2.jet_fn, name="H(sabotage)", h_coeff=1.0)
-          if p.kind == "wonham-sabotaged"
-          else p.family(p.params, **p.parameters))
-    return ly.wonham_report(w1, w2, f_bound, p.params, p.shell,
-                            n=max(2000, n // 2), seed=seed)
+    return ly.wonham_report(form, p.params, p.shell, n=max(2000, n // 2),
+                            seed=seed)

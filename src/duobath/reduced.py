@@ -126,13 +126,11 @@ class StationaryDensity:
 
 
 def stationary_density(rp: ReducedParams) -> StationaryDensity:
-    """Exact stationary law; raises NoInvariantMeasure outside the
-    (sigma > -1) or (sigma = -1, eta > 1) region."""
-    s, e = rp.sigma, rp.eta
-    if (s < -1 - 1e-12 or (_isclose(s, -1.0) and e <= 1.0)
-            or (s > -1 and e <= 0)):
+    """Exact stationary law; raises NoInvariantMeasure where
+    classify_reduced's row has no integrability (kind 'none')."""
+    if classify_reduced(rp).integrability.kind == "none":
         raise NoInvariantMeasure(
-            f"no stationary law for sigma={s}, eta={e}")
+            f"no stationary law for sigma={rp.sigma}, eta={rp.eta}")
     d = StationaryDensity(rp=rp, normalization=1.0)
     d.normalization = float(d._upper(1.0))
     return d
@@ -229,6 +227,8 @@ def classify_reduced(rp: ReducedParams) -> RateRow:
             Family("poly-decay", {"exponent": (e - 1.0) / 2.0, "pm": _SYM_E}),
             Family("power", {"exponent": e + 1.0, "plus": _SYM_E}),
         )
+    if e <= 0:
+        return RateRow("sigma>-1,eta<=0", none, none, none)
     if s < 0:
         return RateRow(
             "-1<sigma<0",

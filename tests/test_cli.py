@@ -147,6 +147,20 @@ class TestExitCodes:
         assert err.startswith("configuration error:") and "densty" in err
         assert not (out / "report.json").exists()
 
+    def test_reduced_eta_0_is_a_configuration_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "reduced", "reduced.eta = 0\n")
+        assert code == 1
+        assert capsys.readouterr().err \
+            == "configuration error: eta must be nonzero\n"
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_tails_runs_at_its_defaults(self, tmp_path):
+        # "defaults are complete": the default ensemble keeps enough tail
+        # samples for the Hill estimate
+        code, out = run(tmp_path, "tails")
+        assert code == 0
+        assert (out / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "tails", "convergence"])
     @pytest.mark.parametrize("cfg, named", [
         ("ensemble.x0 = 1 2 3\n", "ensemble.x0 has 3 numbers"),

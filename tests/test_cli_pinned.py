@@ -36,7 +36,7 @@ DEFAULTS = {
     "simulate": {**CHAIN, "observables.names": "H,p0_sq,p1_sq",
                  "samples.dump": False},
     "tails": {**CHAIN, "tails.top_fraction": 0.01, "tails.burn_in": 0.5,
-              "tails.thin_stride": 10},
+              "tails.thin_stride": 5},
     "convergence": {**CHAIN, "convergence.binning": 4,
                     "convergence.burn_in": 40.0, "convergence.n_times": 24,
                     "convergence.noise_floor_factor": 2.0},
@@ -78,6 +78,7 @@ TINY = {
              "tails.top_fraction = 0.5\n",
     "convergence": "integrator.t_end = 0.2\nensemble.n_paths = 64\n"
                    "convergence.burn_in = 0.2\nconvergence.n_times = 4\n",
+    "verify": "verify.preset = negative-k2\nverify.n = 1000\n",
     "reduced": "reduced.n_paths = 500\nreduced.t_end = 5.0\n"
                "reduced.n_grid = 50\n",
 }
@@ -131,7 +132,17 @@ PINNED = {
         "report.json":
             "3b738649822b5c827e99c507e960150b81d9197c446f72f0226ad3969e909545",
     },
+    "verify": {
+        "manifest.json":
+            "1e49aa53a21b88fc0d289448ce6e38033d24a94f4f92970100782ad2da399e44",
+        "report.json":
+            "97fab30850772791ea293a996db54e573f0f7ebe83478744c3184513e55b7522",
+    },
 }
+
+
+# the commands that print their report.json (verify prints its verdicts)
+PRINTS_REPORT = ("constants", "convergence", "reduced", "tails")
 
 
 def _digest(path):
@@ -155,5 +166,5 @@ def test_outputs_are_pinned(command, tmp_path, capsys):
     digests = {p.name: _digest(p) for p in sorted(out.iterdir())}
     assert digests == PINNED[command]
     report = out / "report.json"
-    if report.exists():   # the commands with a report print it
+    if command in PRINTS_REPORT:
         assert capsys.readouterr().out == report.read_text()

@@ -506,13 +506,9 @@ class TestVerify:
 
 class TestWonham:
     def test_exp_forms_are_rejected(self):
-        w = ly.exp_h(P2, beta=1.0)
-        h = ly.PlainForm(lambda x, p: ly.jet_const(0.0), name="H",
-                         h_coeff=1.0)
-        for w1, w2 in ((w, h), (h, w)):
-            with pytest.raises(ValueError, match="plain forms only"):
-                ly.wonham_report(w1, w2, lambda s, p: 1.0, P2,
-                                 ly.ShellSpec(r0=50.0), n=2000, seed=3)
+        with pytest.raises(ValueError, match="plain forms only"):
+            ly.wonham_report(ly.exp_h(P2, beta=1.0), P2,
+                             ly.ShellSpec(r0=50.0), n=2000, seed=3)
 
     def test_sabotaged_pair_fails_drift_hypothesis(self):
         rep = run_preset("negative-k2-sabotaged", n=4000, seed=0)
@@ -551,14 +547,12 @@ class TestPresets:
     def test_every_preset_is_pinned(self):
         assert sorted(PRESET_NAMES) == sorted(self.PINNED)
 
-    def test_sabotaged_control_differs_only_in_kind(self):
+    def test_sabotaged_control_differs_only_in_family(self):
         base = get_preset("negative-k2")
         control = get_preset("negative-k2-sabotaged")
-        assert (base.kind, control.kind) == ("wonham", "wonham-sabotaged")
-        # each build makes its own predicate closure, so compare its name
-        assert replace(control, kind="wonham", predicate=base.predicate) \
-            == base
-        assert control.predicate.name == base.predicate.name
+        assert control.family is ly.energy
+        assert replace(control, family=base.family,
+                       parameters=base.parameters) == base
 
     def test_unknown_preset_raises_key_error(self):
         with pytest.raises(KeyError, match="unknown preset 'bogus'"):

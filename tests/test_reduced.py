@@ -47,6 +47,19 @@ class TestStationaryDensity:
         with pytest.raises(rd.NoInvariantMeasure):
             rd.stationary_density(rd.ReducedParams(eta=-0.5, sigma=-1.0))
 
+    @pytest.mark.parametrize("sigma", [-2.0, -1.0 - 1e-13, -1.0, -1.0 + 1e-13,
+                                       -0.5, 0.0, 0.5, 1.0, 2.0])
+    def test_raises_exactly_where_the_rate_row_has_no_law(self, sigma):
+        for eta in (-2.0, -1.0, -1e-3, 0.5, 1.0, 1.5, 3.0):
+            rp = rd.ReducedParams(eta=eta, sigma=sigma)
+            no_law = rd.classify_reduced(rp).integrability.kind == "none"
+            try:
+                rd.stationary_density(rp)
+                raised = False
+            except rd.NoInvariantMeasure:
+                raised = True
+            assert raised == no_law, eta
+
 
 class TestSimulation:
     def test_deterministic_under_seed(self):
