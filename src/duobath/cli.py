@@ -85,7 +85,7 @@ def cmd_phase_diagram(args) -> int:
     for k in cfg["grid.k_values"]:
         for th in t_hots:
             smoothing = "regularized" if k < 1 else base.smoothing
-            p = base.with_(k=k, t_hot=th, smoothing=smoothing)
+            p = replace(base, k=k, t_hot=th, smoothing=smoothing)
             row = rd.classify_full(k, p, ch)
             rows.append([k, th, row.regime_id,
                          row.integrability.describe(),
@@ -154,16 +154,20 @@ def cmd_tails(args) -> int:
     if thin < 1:
         raise ConfigError(f"tails.thin_stride = {thin} is not a positive "
                           "stride")
+    n_steps = int(round(icfg.t_end / icfg.dt))
+    burn_in = cfg["tails.burn_in"]
+    burn_steps = int(round(burn_in * n_steps))
+    if burn_in < 0 or burn_steps >= n_steps:
+        raise ConfigError(f"tails.burn_in = {burn_in} leaves none of the "
+                          f"{n_steps} integrator steps to sample")
     h_of = sim.obs_energy(p)
 
     # burn in, then pool H over paths x thinned snapshots
-    n_steps = int(round(icfg.t_end / icfg.dt))
-    burn_steps = int(round(cfg["tails.burn_in"] * n_steps))
     chunks = []
     for i, s in sim.run_paths(x0, n, seed, n_steps, icfg, p):
         if i > burn_steps and (i - 1 - burn_steps) % thin == 0:
             chunks.append(np.asarray(h_of(s)))
-    samples = np.concatenate(chunks) if chunks else np.asarray(h_of(s))
+    samples = np.concatenate(chunks)
     hill = sim.hill_estimator(samples, cfg["tails.top_fraction"])
     report = {"hill_index": hill.index, "stderr": hill.stderr,
               "n_tail": hill.n_tail, "threshold": hill.threshold,

@@ -214,8 +214,6 @@ def _orbit_jets(x: State4, tables: dict) -> Dict[str, Jet2]:
     out = {}
     for name, sol in tables.items():
         val, dp, dq, d2p = sol.eval_all(look)
-        if d2p is None:
-            raise ValueError(f"{name} lacks a second-derivative profile")
         out[name] = Jet2(value=val, d_p1=dp, d_q1=dq, d2_p1=d2p)
     return out
 
@@ -582,10 +580,7 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
     V1(m_1) + c + d^2/2 + alpha (m_0 + m_1)^2 / 2.  The accepted states and
     their order are those of the unfiltered loop.
     """
-    if phi is not None:
-        orbit = phi.orbit
-    else:
-        orbit = osc.reference_orbit(params.k, 1.0) if params.k > 1 else None
+    orbit = osc.reference_orbit(params.k) if params.k > 1 else None
     keep: List[np.ndarray] = []
     kept = 0
     for _ in range(MAX_BATCHES):
@@ -775,6 +770,9 @@ def wonham_report(w1_form, params: ModelParams, shell: ShellSpec,
             states = sample_shell(params, r, HI_RATIO * r, n, rng, phi=phi)
             s1 = w1_form.evaluate(states, params)
             s2 = w2.evaluate(states, params)
+            if not np.all(np.isfinite(s1.drift) & np.isfinite(s2.drift)):
+                raise RuntimeError(
+                    f"non-finite drift at shell [{r}, {HI_RATIO * r}]")
             viol_w1 += int(np.sum(s1.drift < 0))
             viol_w2 += int(np.sum(s2.drift > f))
             samples_last += n

@@ -13,7 +13,7 @@ truncation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -56,9 +56,6 @@ class ModelParams:
         if self.smoothing == PURE_POWER and self.k < 1:
             raise ValueError("pure-power potential is not C^2 for k < 1; "
                              "use smoothing='regularized'")
-
-    def with_(self, **kw) -> "ModelParams":
-        return replace(self, **kw)
 
 
 @dataclass

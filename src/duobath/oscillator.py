@@ -1,9 +1,9 @@
 """Action-angle toolkit for the free oscillator H_f = P^2/2 + |Q|^(2k)/(2k).
 
 Everything downstream (spectral constants, drift-test corrections) is built
-from three ingredients computed here on a single reference orbit at energy 1:
-uniformly time-sampled orbits, orbit averages, and centred solutions u of the
-transport equation du/dt = g along the orbit.  Off-orbit values come from the
+from two ingredients computed here on a single reference orbit at energy 1:
+uniformly time-sampled orbits and centred solutions u of the transport
+equation du/dt = g along the orbit.  Off-orbit values come from the
 exact scaling of the homogeneous potential, so they are only trusted outside
 a small ball around the origin (where the smooth constructions would differ).
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import beta as beta_fn, betainc, betaincinv
@@ -126,12 +125,13 @@ class AngleLookup:
 
 @dataclass
 class OrbitTable:
-    """One closed orbit sampled on a uniform time grid (n divisible by 4)."""
+    """One closed orbit sampled at the times j * period / n (n divisible by
+    4): uniform-time nodes make the plain mean of node values the orbit's
+    time average, spectrally accurate for smooth functions."""
 
     k: float
     energy: float
     period: float
-    ts: np.ndarray
     Q: np.ndarray
     P: np.ndarray
     padded_pq: np.ndarray = field(init=False, repr=False)
@@ -141,7 +141,7 @@ class OrbitTable:
 
     @property
     def n(self) -> int:
-        return len(self.ts)
+        return len(self.P)
 
     def time_of(self, P, Q) -> np.ndarray:
         """Invert the orbit parametrization: time in [0, period) of (P, Q).
@@ -196,8 +196,6 @@ def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
     P = sqrt(2E I^-1_(1-s)(1/2, a)), a = 1/(2k), exact at both turning
     points; unfolding by symmetry closes the orbit with zero-mean P and Q.
     """
-    if E <= 0:
-        raise ValueError("energy must be positive")
     if n < 64:
         raise ValueError("need at least 64 nodes")
     if n % 4:
@@ -216,26 +214,13 @@ def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
 
     Q = np.concatenate([Qq[:-1], Qq[::-1][:-1], -Qq[:-1], -Qq[::-1][:-1]])
     P = np.concatenate([Pq[:-1], -Pq[::-1][:-1], -Pq[:-1], Pq[::-1][:-1]])
-    ts = np.arange(n) * (period / n)
-    return OrbitTable(k=k, energy=E, period=period, ts=ts, Q=Q, P=P)
+    return OrbitTable(k=k, energy=E, period=period, Q=Q, P=P)
 
 
 @functools.cache
-def reference_orbit(k: float, E: float) -> OrbitTable:
-    """The orbit at energy E, built once per (k, E); callers pass both
-    positionally, so one orbit has one cache key."""
-    return build_orbit(E, k)
-
-
-def orbit_average(g: Callable, E: float, k: float,
-                  orbit: Optional[OrbitTable] = None) -> float:
-    """Time average of g(P, Q) over the closed orbit at energy E.
-
-    Uniform-time nodes make the plain mean spectrally accurate for smooth g.
-    """
-    if orbit is None:
-        orbit = reference_orbit(k, E)
-    return float(np.mean(g(orbit.P, orbit.Q)))
+def reference_orbit(k: float) -> OrbitTable:
+    """The orbit at energy 1, built once per k."""
+    return build_orbit(1.0, k)
 
 
 def k_const(k: float) -> float:
@@ -254,27 +239,24 @@ class CenteredSolution:
 
     Profiles are tabulated on a reference orbit; evaluation anywhere takes an
     angle lookup on that orbit and the exact scaling of the homogeneous
-    oscillator in the energy ratio.  The first
-    derivatives come from the two independent directional derivatives known
-    on the orbit (transport along the flow and the Euler scaling relation),
-    so they carry no finite-difference error.
+    oscillator in the energy ratio.  The derivatives come from the two
+    independent directional derivatives known on the orbit (transport along
+    the flow and the Euler scaling relation), so they carry no
+    finite-difference error.
     """
 
-    k: float
     scaling_exponent: float
     orbit: OrbitTable
-    angle_profile: np.ndarray          # u0 at the orbit nodes
+    angle_profile: np.ndarray   # u0 at the orbit nodes
     dP_profile: np.ndarray
     dQ_profile: np.ndarray
-    d2P_profile: Optional[np.ndarray]  # present when rhs' P-derivative known
+    d2P_profile: np.ndarray
 
     padded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        profiles = [self.angle_profile, self.dP_profile, self.dQ_profile]
-        if self.d2P_profile is not None:
-            profiles.append(self.d2P_profile)
-        self.padded = _wrap_pad(np.stack(profiles))
+        self.padded = _wrap_pad(np.stack([self.angle_profile, self.dP_profile,
+                                          self.dQ_profile, self.d2P_profile]))
 
     def value(self, look: AngleLookup) -> np.ndarray:
         """u at the states of an angle lookup on this solution's orbit."""
@@ -285,13 +267,12 @@ class CenteredSolution:
 
     def eval_all(self, look: AngleLookup):
         """(value, dP, dQ, d2P) at the states of an angle lookup on this
-        solution's orbit; d2P is None without its profile."""
+        solution's orbit."""
         val = self.value(look)
         r, a = look.ratio, self.scaling_exponent
         dp = r ** (a - 0.5) * look.interp(self.padded[1])
-        dq = r ** (a - 1 / (2 * self.k)) * look.interp(self.padded[2])
-        d2p = (r ** (a - 1.0) * look.interp(self.padded[3])
-               if self.d2P_profile is not None else None)
+        dq = r ** (a - 1 / (2 * self.orbit.k)) * look.interp(self.padded[2])
+        d2p = r ** (a - 1.0) * look.interp(self.padded[3])
         return val, dp, dq, d2p
 
 
@@ -324,40 +305,26 @@ def _orbit_derivatives(orbit: OrbitTable, u: np.ndarray, a: float,
     return du_dP, du_dQ
 
 
-def solve_poisson(rhs, E_ref: float, k: float, *,
-                  rhs_scaling: float,
-                  rhs_dP=None,
-                  orbit: Optional[OrbitTable] = None) -> CenteredSolution:
-    """Centred u with du/dt = rhs along the orbit at E_ref.
+def solve_poisson(orbit: OrbitTable, rhs: np.ndarray, rhs_dP: np.ndarray, *,
+                  rhs_scaling: float) -> CenteredSolution:
+    """Centred u with du/dt = rhs along `orbit`.
 
-    rhs may be a callable g(P, Q) or an array of node values; it must be
-    centred (orbit mean ~ 0) and homogeneous of degree `rhs_scaling` in H_f.
-    Supplying rhs_dP (callable or nodes for the P-derivative of rhs) enables
-    the second-derivative profile.
+    rhs and its P-derivative rhs_dP are node values on the orbit; rhs must
+    be centred (orbit mean ~ 0) and homogeneous of degree `rhs_scaling` in
+    H_f.
     """
-    if orbit is None:
-        orbit = reference_orbit(k, E_ref)
-    rhs_nodes = np.asarray(rhs(orbit.P, orbit.Q) if callable(rhs) else rhs,
-                           dtype=float)
-    scale = max(float(np.sqrt(np.mean(rhs_nodes ** 2))), 1e-300)
-    if abs(float(np.mean(rhs_nodes))) / scale > CENTRED_TOL:
+    scale = max(float(np.sqrt(np.mean(rhs ** 2))), 1e-300)
+    if abs(float(np.mean(rhs))) / scale > CENTRED_TOL:
         raise ValueError("rhs is not centred on the orbit")
 
-    u = _fft_antiderivative(rhs_nodes, orbit.period)
-    a = rhs_scaling + 1 / (2 * k) - 0.5
-    du_dP, du_dQ = _orbit_derivatives(orbit, u, a, rhs_nodes)
-
-    d2u = None
-    if rhs_dP is not None:
-        rhs_dP_nodes = np.asarray(
-            rhs_dP(orbit.P, orbit.Q) if callable(rhs_dP) else rhs_dP, dtype=float)
-        # v = dP_u satisfies dv/dt = dP_rhs - dQ_u with scaling a - 1/2
-        v_rhs = rhs_dP_nodes - du_dQ
-        d2u, _ = _orbit_derivatives(orbit, du_dP, a - 0.5, v_rhs)
-
-    return CenteredSolution(k=k, scaling_exponent=a, orbit=orbit,
-                            angle_profile=u, dP_profile=du_dP,
-                            dQ_profile=du_dQ, d2P_profile=d2u)
+    u = _fft_antiderivative(rhs, orbit.period)
+    a = rhs_scaling + 1 / (2 * orbit.k) - 0.5
+    du_dP, du_dQ = _orbit_derivatives(orbit, u, a, rhs)
+    # v = dP_u satisfies dv/dt = dP_rhs - dQ_u with scaling a - 1/2
+    d2u, _ = _orbit_derivatives(orbit, du_dP, a - 0.5, rhs_dP - du_dQ)
+    return CenteredSolution(scaling_exponent=a, orbit=orbit, angle_profile=u,
+                            dP_profile=du_dP, dQ_profile=du_dQ,
+                            d2P_profile=d2u)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +339,9 @@ def _check_k_range(k: float):
 def build_phi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = Q; scales like H_f^(1/k - 1/2)."""
     _check_k_range(k)
-    return solve_poisson(lambda P, Q: Q, 1.0, k, rhs_scaling=1 / (2 * k),
-                         rhs_dP=lambda P, Q: np.zeros_like(P),
-                         orbit=reference_orbit(k, 1.0))
+    orbit = reference_orbit(k)
+    return solve_poisson(orbit, orbit.Q, np.zeros_like(orbit.P),
+                         rhs_scaling=1 / (2 * k))
 
 
 @functools.cache
@@ -382,9 +349,8 @@ def build_psi(k: float) -> CenteredSolution:
     """Centred solution of du/dt = phi; scales like H_f^(3/(2k) - 1)."""
     _check_k_range(k)
     phi = build_phi(k)
-    return solve_poisson(phi.angle_profile, 1.0, k,
-                         rhs_scaling=phi.scaling_exponent,
-                         rhs_dP=phi.dP_profile, orbit=phi.orbit)
+    return solve_poisson(phi.orbit, phi.angle_profile, phi.dP_profile,
+                         rhs_scaling=phi.scaling_exponent)
 
 
 @functools.cache
@@ -394,12 +360,12 @@ def build_xi(k: float) -> CenteredSolution:
     _check_k_range(k)
     phi = build_phi(k)
     prof = phi.angle_profile
-    c = float(np.mean(prof ** 2))
+    c = phi_mean_square(k)
     # d/dP of (phi^2 - c H_f^(2/k-1)): the energy factor contributes
     # -c (2/k - 1) P on the reference orbit (vanishes only at k = 2)
     rhs_dp = 2 * prof * phi.dP_profile - c * (2 / k - 1) * phi.orbit.P
-    return solve_poisson(prof ** 2 - c, 1.0, k, rhs_scaling=2 / k - 1,
-                         rhs_dP=rhs_dp, orbit=phi.orbit)
+    return solve_poisson(phi.orbit, prof ** 2 - c, rhs_dp,
+                         rhs_scaling=2 / k - 1)
 
 
 @functools.cache
@@ -408,10 +374,11 @@ def build_xi_tilde(k: float) -> CenteredSolution:
     H_f^(1/2 + 1/(2k))."""
     _check_k_range(k)
     K = k_const(k)
+    orbit = reference_orbit(k)
+    P, Q = orbit.P, orbit.Q
     return solve_poisson(
-        lambda P, Q: P * P - K * (P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k)),
-        1.0, k, rhs_scaling=1.0, rhs_dP=lambda P, Q: (2 - K) * P,
-        orbit=reference_orbit(k, 1.0))
+        orbit, P * P - K * (P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k)),
+        (2 - K) * P, rhs_scaling=1.0)
 
 
 def phi_mean_square(k: float) -> float:

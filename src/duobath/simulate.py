@@ -434,6 +434,9 @@ def hill_estimator(samples, top_fraction: float = 0.01, *,
     if kt < HILL_MIN_TAIL:
         raise ValueError(f"only {kt} tail samples above the cut; "
                          f"need >= {HILL_MIN_TAIL}")
+    if kt >= n:
+        raise ValueError(f"top_fraction = {top_fraction} leaves no threshold "
+                         f"below the top {kt} of {n} samples")
 
     def hill_at(kk):
         tail = x[n - kk:]

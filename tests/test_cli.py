@@ -187,6 +187,17 @@ class TestExitCodes:
         assert f"tails.thin_stride = {thin} " in err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
+    @pytest.mark.parametrize("burn_in", [1.0, 0.9999, -0.1])
+    def test_burn_in_leaving_no_step_is_a_configuration_error(
+            self, tmp_path, capsys, burn_in):
+        code, out = run(tmp_path, "tails", "integrator.t_end = 0.1\n"
+                        f"ensemble.n_paths = 8\ntails.burn_in = {burn_in}\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert f"tails.burn_in = {burn_in} " in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_integrator_scheme_key_is_exit_1(self, tmp_path, capsys):
         # Strang splitting is the only scheme; even its old name is rejected
         code, out = run(tmp_path, "simulate",

@@ -15,7 +15,8 @@ from duobath import lyapunov as ly
 from duobath import oscillator as osc
 from duobath import simulate as sim
 from duobath.model import (ModelParams, State4, hamiltonian, drift_and_noise,
-                           apply_generator, jet_hamiltonian, quintic_bridge)
+                           apply_generator, jet_coord, jet_hamiltonian,
+                           quintic_bridge)
 from duobath.presets import PRESET_NAMES, get_preset, run_preset
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
@@ -288,7 +289,7 @@ class TestBuiltFields:
 class TestSolutionJets:
     def test_shared_lookup_equals_separate_lookups(self):
         k = 1.5
-        tables = ly.build_tables(P2.with_(k=k), ("phi", "psi", "xi"))
+        tables = ly.build_tables(replace(P2, k=k), ("phi", "psi", "xi"))
         rng = np.random.default_rng(3)
         p1, q1 = rng.uniform(-20, 20, 300), rng.uniform(-5, 5, 300)
         x = State4(q0=np.zeros(300), q1=q1, p0=np.zeros(300), p1=p1)
@@ -327,7 +328,7 @@ class TestShellSampler:
         # the sampler reads phi at the drawn angle; inverting the angle of
         # the drawn (p1, q1) must give the same correction
         for k in (1.5, 2.0):
-            params = P2.with_(k=k)
+            params = replace(P2, k=k)
             phi = osc.build_phi(k)
             rng = np.random.default_rng(4)
             e0, e1 = np.exp(rng.uniform(0.0, math.log(1e6), (2, 4000)))
@@ -348,7 +349,7 @@ def _unsqueezed_sample_shell(params, r_lo, r_hi, n, rng, phi=None):
     full and meets the band test.  The reference the squeeze reproduces."""
     k = params.k
     orbit = phi.orbit if phi is not None else (
-        osc.reference_orbit(k, 1.0) if k > 1 else None)
+        osc.reference_orbit(k) if k > 1 else None)
     keep, kept, m = [], 0, 4 * n
     for _ in range(ly.MAX_BATCHES):
         e0 = np.exp(rng.uniform(math.log(ly.E0_FLOOR), math.log(r_hi), m))
@@ -417,7 +418,7 @@ class TestShellSqueeze:
     @pytest.mark.parametrize("case", ["k2-phi", "k15-phi", "k2-no-phi"])
     def test_every_in_band_candidate_survives(self, case):
         params, phi, r0 = _shell_case(*SHELL_CASES[case])
-        orbit = osc.reference_orbit(params.k, 1.0)
+        orbit = osc.reference_orbit(params.k)
         rng = np.random.default_rng(5)
         for r_lo, r_hi in ((r0, 2 * r0), (r0, 1.05 * r0)):
             m = 200_000
@@ -441,7 +442,7 @@ class TestShellSqueeze:
         # orbit states keep their energy to ORBIT_ENERGY_TOL / 100
         frac = np.random.default_rng(2).uniform(0, 1, 200_000)
         for k in (1.06, 1.5, 2.0):
-            P, Q = osc.reference_orbit(k, 1.0).at_angle(1.0, frac).state()
+            P, Q = osc.reference_orbit(k).at_angle(1.0, frac).state()
             err = np.abs(P * P / 2 + np.abs(Q) ** (2 * k) / (2 * k) - 1.0)
             assert err.max() <= ly.ORBIT_ENERGY_TOL / 100
 
@@ -510,6 +511,15 @@ class TestWonham:
             ly.wonham_report(ly.exp_h(P2, beta=1.0), P2,
                              ly.ShellSpec(r0=50.0), n=2000, seed=3)
 
+    def test_non_finite_drift_raises(self):
+        # a NaN drift is neither >= 0 nor a violation: it must not pass
+        def jet_fn(x, p):
+            nan_where = np.where(np.asarray(x.q0) > 0, np.nan, 1.0)
+            return jet_coord("p0", x) * nan_where
+        w1 = ly.PlainForm(jet_fn, name="NaN where q0 > 0")
+        with pytest.raises(RuntimeError, match="non-finite drift at shell"):
+            ly.wonham_report(w1, P2, ly.ShellSpec(r0=50.0), n=1000, seed=3)
+
     def test_sabotaged_pair_fails_drift_hypothesis(self):
         rep = run_preset("negative-k2-sabotaged", n=4000, seed=0)
         assert not rep.passed
@@ -571,11 +581,10 @@ class TestPresets:
         run_preset("negative-k2", n=1000, seed=5)   # c_hat, phi, psi, xi
         run_preset("negative-k2", n=1000, seed=6)
         assert built == ["build_orbit"] + ["solve_poisson"] * 3
-        # the k-only builders and the (E, k) callers share one orbit
-        osc.orbit_average(lambda P, Q: P * P, 1.0, 2.0)
-        phi = osc.build_phi(2.0)
-        assert osc.solve_poisson(lambda P, Q: Q, 1.0, 2.0,
-                                 rhs_scaling=0.25).orbit is phi.orbit
+        # every builder solves on the one cached orbit of its k
+        orbit = osc.reference_orbit(2.0)
+        assert osc.build_phi(2.0).orbit is orbit
+        assert osc.build_xi_tilde(2.0).orbit is orbit
         assert built == ["build_orbit"] + ["solve_poisson"] * 4
 
     def test_import_builds_no_orbit(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from duobath.model import (ModelParams, State4, Jet2, jet_coord, jet_const,
 
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
-P2R = P2.with_(smoothing="regularized")
+P2R = replace(P2, smoothing="regularized")
 
 
 def random_states(n, seed=0, scale=2.0):
@@ -34,7 +36,7 @@ class TestParams:
 class TestPotential:
     def test_minimum_at_origin(self):
         assert v1_eval(0.0, P2R) == 0.0
-        assert v1_eval(0.0, P2R.with_(k=0.7)) == 0.0
+        assert v1_eval(0.0, replace(P2R, k=0.7)) == 0.0
 
     def test_pure_power_value(self):
         assert v1_eval(1.0, P2) == pytest.approx(0.25)
@@ -49,7 +51,7 @@ class TestPotential:
     def test_derivatives_consistent(self):
         q = np.linspace(-3, 3, 41)
         h = 1e-6
-        for p in (P2, P2R, P2R.with_(k=0.75)):
+        for p in (P2, P2R, replace(P2R, k=0.75)):
             fd = (v1_eval(q + h, p) - v1_eval(q - h, p)) / (2 * h)
             assert np.allclose(fd, v1_prime(q, p), atol=1e-7)
             fd2 = (v1_prime(q + h, p) - v1_prime(q - h, p)) / (2 * h)
@@ -62,7 +64,7 @@ class TestHamiltonian:
 
     def test_symmetric_positions_drop_coupling(self):
         x = State4(1.0, 1.0, 0.0, 0.0)
-        assert hamiltonian(x, P2.with_(alpha=7.0)) == pytest.approx(0.5)
+        assert hamiltonian(x, replace(P2, alpha=7.0)) == pytest.approx(0.5)
 
     def test_hand_value(self):
         assert hamiltonian(State4(1.0, -1.0, 2.0, 0.0), P2) == pytest.approx(4.5)

@@ -49,8 +49,9 @@ class TestPeriod:
 class TestOrbit:
     def test_harmonic_is_sine(self):
         orb = osc.build_orbit(0.5, 1.0, n=256)
-        assert np.allclose(orb.Q, np.sin(orb.ts), atol=1e-9)
-        assert np.allclose(orb.P, np.cos(orb.ts), atol=1e-9)
+        ts = np.arange(orb.n) * orb.period / orb.n
+        assert np.allclose(orb.Q, np.sin(ts), atol=1e-9)
+        assert np.allclose(orb.P, np.cos(ts), atol=1e-9)
 
     def test_energy_drift(self):
         for k in (1.5, 2.0, 3.0):
@@ -72,7 +73,8 @@ class TestOrbit:
                 sol = solve_ivp(
                     lambda _, y: [y[1], -y[0] * np.abs(y[0]) ** (2 * k - 2)],
                     (0.0, orb.period / 4), [0.0, np.sqrt(2 * E)],
-                    t_eval=orb.ts[:nq + 1], rtol=1e-12, atol=1e-14,
+                    t_eval=np.arange(nq + 1) * orb.period / orb.n,
+                    rtol=1e-12, atol=1e-14,
                     method="DOP853")
                 assert sol.success
                 assert np.max(np.abs(orb.Q[:nq + 1] - sol.y[0])) < 1e-10
@@ -116,19 +118,21 @@ class TestOrbit:
 
 
 class TestAverages:
+    """Orbit averages are plain means over the uniform-time nodes."""
+
     def test_odd_symmetry(self):
-        assert abs(osc.orbit_average(lambda P, Q: Q, 1.0, 2.0)) < 1e-14
-        assert abs(osc.orbit_average(lambda P, Q: P, 1.0, 2.0)) < 1e-14
+        orb = osc.reference_orbit(2.0)
+        assert abs(np.mean(orb.Q)) < 1e-14
+        assert abs(np.mean(orb.P)) < 1e-14
 
     def test_virial_constant(self):
         for k in (1.0, 1.5, 2.0, 3.0):
-            avg = osc.orbit_average(lambda P, Q: P ** 2, 1.0, k)
+            avg = np.mean(osc.reference_orbit(k).P ** 2)
             assert abs(avg - osc.k_const(k)) < 1e-8
 
     def test_virial_scales_with_energy(self):
         for (E, k) in ((4.0, 1.5), (16.0, 2.0)):
-            orb = osc.build_orbit(E, k)
-            avg = osc.orbit_average(lambda P, Q: P ** 2, E, k, orbit=orb)
+            avg = np.mean(osc.build_orbit(E, k).P ** 2)
             assert abs(avg - osc.k_const(k) * E) < 1e-8 * E
 
     def test_centred_combination_quartic(self):
@@ -136,18 +140,24 @@ class TestAverages:
         for E in (1.0, 16.0):
             orb = osc.build_orbit(E, 2.0)
             g = lambda P, Q: P ** 2 - (4.0 / 3.0) * (P ** 2 / 2 + Q ** 4 / 4)
-            assert abs(osc.orbit_average(g, E, 2.0, orbit=orb)) < 1e-8
+            assert abs(np.mean(g(orb.P, orb.Q))) < 1e-8
 
 
 class TestPoisson:
     def test_rhs_p_gives_q(self):
-        # du/dt = P has solution Q (centred already)
-        sol = osc.solve_poisson(lambda P, Q: P, 1.0, 2.0, rhs_scaling=0.5)
-        assert np.allclose(sol.angle_profile, sol.orbit.Q, atol=1e-9)
+        # du/dt = P has solution Q (centred already), with dP Q = d2P Q = 0
+        orb = osc.reference_orbit(2.0)
+        sol = osc.solve_poisson(orb, orb.P, np.ones_like(orb.P),
+                                rhs_scaling=0.5)
+        assert sol.orbit is orb
+        assert np.allclose(sol.angle_profile, orb.Q, atol=1e-9)
+        assert np.allclose(sol.dP_profile, 0.0, atol=1e-9)
+        assert np.allclose(sol.d2P_profile, 0.0, atol=1e-9)
 
     def test_rejects_uncentred(self):
-        with pytest.raises(ValueError):
-            osc.solve_poisson(lambda P, Q: P ** 2, 1.0, 2.0, rhs_scaling=1.0)
+        orb = osc.reference_orbit(2.0)
+        with pytest.raises(ValueError, match="not centred"):
+            osc.solve_poisson(orb, orb.P ** 2, 2 * orb.P, rhs_scaling=1.0)
 
     def test_residual_highorder_fd(self):
         # d/dt of the returned profile reproduces the rhs
@@ -263,8 +273,8 @@ class TestConstants:
     def test_c_hat_scale_invariance(self):
         # independent second pipeline at E=4; phi scales like H_f^0 at k=2
         orb4 = osc.build_orbit(4.0, 2.0)
-        sol4 = osc.solve_poisson(lambda P, Q: Q, 4.0, 2.0,
-                                 rhs_scaling=1 / 4, orbit=orb4)
+        sol4 = osc.solve_poisson(orb4, orb4.Q, np.zeros_like(orb4.P),
+                                 rhs_scaling=1 / 4)
         c4 = float(np.mean(sol4.angle_profile ** 2))
         assert abs(c4 - osc.c_hat()) < 1e-8
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,21 +161,21 @@ class _Spy(sim.NoiseStream):
 class TestStepKernel:
     @pytest.mark.parametrize("params, cfg, x0, n, levels", [
         # halving off, and level 0 only with one path and with many
-        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.002, max_halvings=0),
+        (replace(P2, k=3.0), sim.IntegratorConfig(dt=0.002, max_halvings=0),
          State4(2.0, -2.0, 0.0, 0.0), 64, {0}),
         (P2, sim.IntegratorConfig(dt=0.005, substep_cap=50.0), X0, 64, {0}),
         (P2, sim.IntegratorConfig(dt=0.005, substep_cap=50.0), X0, 1, {0}),
         (PK1, sim.IntegratorConfig(dt=0.01), X0, 64, {0}),
-        (P2.with_(k=0.75, smoothing=REGULARIZED),
+        (replace(P2, k=0.75, smoothing=REGULARIZED),
          sim.IntegratorConfig(dt=0.01, substep_cap=2.0), X0, 64, {0, 1}),
         # stiff starts spread the paths over halving levels 0-3 and 0-4
         (STIFF, STIFF_CFG, State4(2.0, -2.0, 0.0, 0.0), 64, {0, 1, 2, 3}),
         (STIFF, STIFF_CFG, State4(2.0, -2.0, 0.0, 0.0), 1, {0, 1}),
-        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.01, substep_cap=4.0,
-                                               max_halvings=4),
+        (replace(P2, k=3.0), sim.IntegratorConfig(dt=0.01, substep_cap=4.0,
+                                                 max_halvings=4),
          State4(2.0, -2.0, 0.0, 0.0), 64, {0, 1, 2, 3, 4}),
-        (P2.with_(k=3.0), sim.IntegratorConfig(dt=0.01, substep_cap=4.0,
-                                               max_halvings=4),
+        (replace(P2, k=3.0), sim.IntegratorConfig(dt=0.01, substep_cap=4.0,
+                                                 max_halvings=4),
          State4(2.0, -2.0, 0.0, 0.0), 1, {0, 1, 2, 3, 4}),
         # per-path starts whose first step has one level above 0, a gap, or
         # gaps and no level 0
@@ -698,6 +699,14 @@ class TestHill:
     def test_insufficient_tail_rejected(self):
         with pytest.raises(ValueError):
             sim.hill_estimator(np.ones(500) + np.arange(500), 0.01)
+
+    @pytest.mark.parametrize("top_fraction", [1.0, 1.5])
+    def test_no_threshold_sample_rejected(self, top_fraction):
+        # the threshold is the largest sample below the tail; a tail of the
+        # whole sample has none
+        x = np.random.default_rng(0).uniform(size=5000) ** (-1 / 2.0)
+        with pytest.raises(ValueError, match="leaves no threshold"):
+            sim.hill_estimator(x, top_fraction)
 
 
 class TestTVProxy:
