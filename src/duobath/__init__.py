@@ -9,8 +9,6 @@ from .model import (
     v1_eval,
     hamiltonian,
     drift_and_noise,
-    apply_generator,
-    carre_du_champ,
 )
 
 __version__ = "0.1.0"

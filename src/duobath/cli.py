@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +81,12 @@ def cmd_phase_diagram(args) -> int:
     base = from_section(ModelParams, "model", cfg)
     ch = osc.c_hat()
     t_hots = cfg["grid.t_hot_values"] or (base.t_hot,)
+    if 0 in cfg["grid.k_values"]:
+        raise ValueError("k = 0 (logarithmic potential) is not supported")
     rows = []
     for k in cfg["grid.k_values"]:
         for th in t_hots:
-            smoothing = "regularized" if k < 1 else base.smoothing
-            p = replace(base, k=k, t_hot=th, smoothing=smoothing)
-            row = rd.classify_full(k, p, ch)
+            row = rd.classify_full(k, replace(base, t_hot=th), ch)
             rows.append([k, th, row.regime_id,
                          row.integrability.describe(),
                          row.speed.describe(), row.prefactor.describe()])
@@ -160,6 +160,13 @@ def cmd_tails(args) -> int:
     if burn_in < 0 or burn_steps >= n_steps:
         raise ConfigError(f"tails.burn_in = {burn_in} leaves none of the "
                           f"{n_steps} integrator steps to sample")
+    count = n * -(-(n_steps - burn_steps) // thin)   # energies pooled below
+    top = cfg["tails.top_fraction"]
+    n_tail = int(count * top)
+    if not sim.HILL_MIN_TAIL <= n_tail < count:
+        raise ConfigError(f"tails.top_fraction = {top} keeps {n_tail} of the "
+                          f"{count} pooled energies; the Hill estimate needs "
+                          f"at least {sim.HILL_MIN_TAIL} and fewer than all")
     h_of = sim.obs_energy(p)
 
     # burn in, then pool H over paths x thinned snapshots
@@ -168,7 +175,7 @@ def cmd_tails(args) -> int:
         if i > burn_steps and (i - 1 - burn_steps) % thin == 0:
             chunks.append(np.asarray(h_of(s)))
     samples = np.concatenate(chunks)
-    hill = sim.hill_estimator(samples, cfg["tails.top_fraction"])
+    hill = sim.hill_estimator(samples, top)
     report = {"hill_index": hill.index, "stderr": hill.stderr,
               "n_tail": hill.n_tail, "threshold": hill.threshold,
               "heavy_tail": hill.heavy_tail,
@@ -221,10 +228,7 @@ def cmd_convergence(args) -> int:
     report = {"noise_floor": floor, "n_usable": int(usable.sum())}
     if usable.sum() >= 10:
         fit = sim.fit_decay(ts[usable], tvs[usable])
-        report.update({"family": fit.family, "params": fit.params,
-                       "residual": fit.residual,
-                       "inconclusive": fit.inconclusive,
-                       "all_residuals": fit.all_residuals})
+        report.update(asdict(fit))
     else:
         report["family"] = "inconclusive"
     _report(out, report)
@@ -238,7 +242,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{', '.join(pre.PRESET_NAMES)}")
     rep = pre.run_preset(name, n=cfg["verify.n"], seed=seed)
-    write_json(out / "report.json", {**rep.to_dict(), "preset": name})
+    write_json(out / "report.json", {**asdict(rep), "preset": name})
     if isinstance(rep, ly.WonhamReport):
         for h in rep.hypotheses:
             print(("PASS" if h.passed else "FAIL"), "-", h.name)
@@ -274,7 +278,7 @@ def cmd_reduced(args) -> int:
                           "simulate, classify, all")
     report = {"eta": rp.eta, "sigma": rp.sigma}
     if mode in ("classify", "all"):
-        report["rate_row"] = rd.classify_reduced(rp).to_dict()
+        report["rate_row"] = asdict(rd.classify_reduced(rp))
     if mode in ("density", "all"):
         try:
             dens = rd.stationary_density(rp)

@@ -9,7 +9,7 @@ certificates; reports say so and carry the sampled evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -206,10 +206,7 @@ def build_tables(params: ModelParams, names: Sequence[str], *,
 
 def _orbit_jets(x: State4, tables: dict) -> Dict[str, Jet2]:
     """Jets at (p1, q1) of the orbit solutions in `tables`, all read from
-    one angle lookup of the state batch (the solutions share phi's orbit);
-    none without phi (harmonic test mode)."""
-    if "phi" not in tables:
-        return {}
+    one angle lookup of the state batch (the solutions share phi's orbit)."""
     look = tables["phi"].orbit.lookup(x.p1, x.q1)
     out = {}
     for name, sol in tables.items():
@@ -223,8 +220,6 @@ _CORRECTED = ("phi", "psi", "xi")
 
 
 def _jet_ptilde(x, params, sj) -> Jet2:
-    if "phi" not in sj:   # harmonic test mode: no oscillator correction
-        return jet_coord("p0", x)
     return jet_coord("p0", x) - params.alpha * sj["phi"]
 
 
@@ -302,13 +297,12 @@ def _power(c, a):
 # on the log scale.
 
 def tilde_h0(params: ModelParams, *, theta=0.05) -> PlainForm:
-    """Corrected damped energy; uncorrected for k <= 1 (harmonic test
-    mode)."""
-    tables = build_tables(params, ("phi",) if params.k > 1 else ())
+    """Corrected damped energy."""
+    tables = build_tables(params, ("phi",))
     return PlainForm(
         lambda x, p: _jet_tilde_h0(x, p, _jet_ptilde(x, p, _orbit_jets(
             x, tables)), theta),
-        name=f"tildeH0(theta={theta})", shell_phi=tables.get("phi"),
+        name=f"tildeH0(theta={theta})", shell_phi=tables["phi"],
         parameters={"theta": theta})
 
 
@@ -350,7 +344,7 @@ def w_tail(params: ModelParams, *, theta=-0.05, c=0.9, E=50.0,
     def jet_fn(x, p):
         sj = _orbit_jets(x, tables)
         v = jet_hamiltonian(x, p) + (-c) * _jet_h0_cutoff(x, p, sj, theta, E)
-        coef = p.gamma * zeta * (zeta + 1) * params.t_hot
+        coef = p.gamma * zeta * (zeta + 1) * p.t_hot
         return (jet_power(v, zeta + 1)
                 - coef * (jet_power(v, zeta) * sj["xi_tilde"]))
 
@@ -626,11 +620,6 @@ def drift_below(bound: float, name: Optional[str] = None) -> Predicate:
                      lambda d, a, s, p: bound - d)
 
 
-def drift_above(bound: float, name: Optional[str] = None) -> Predicate:
-    return Predicate(name or f"drift >= {bound}",
-                     lambda d, a, s, p: d - bound)
-
-
 def drift_below_scaled(coeff: float, aux_key: str, exponent: float,
                        name: Optional[str] = None) -> Predicate:
     """drift <= -coeff * aux[aux_key]^exponent (aux must be positive)."""
@@ -666,9 +655,6 @@ class VerificationReport:
     final_verdict: bool
     note: str = ("floating-point verification on sampled shells; "
                  "not an interval-arithmetic certificate")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
@@ -734,9 +720,6 @@ class WonhamReport:
     hypotheses: List[HypothesisResult]
     passed: bool
     shells_checked: List[Tuple[float, float]]
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def wonham_report(w1_form, params: ModelParams, shell: ShellSpec,

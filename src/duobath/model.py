@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def v1_prime(q: ArrayLike, params: ModelParams) -> ArrayLike:
     q = np.asarray(q, dtype=float)
     k = params.k
     if params.smoothing == PURE_POWER:
-        return q * np.abs(q) ** (2 * k - 2) if k != 1 else q
+        return q * np.abs(q) ** (2 * k - 2)
     return q * (1.0 + q * q) ** (k - 1)
 
 
@@ -100,8 +100,6 @@ def v1_second(q: ArrayLike, params: ModelParams) -> ArrayLike:
     q = np.asarray(q, dtype=float)
     k = params.k
     if params.smoothing == PURE_POWER:
-        if k == 1:
-            return np.ones_like(q)
         return (2 * k - 1) * np.abs(q) ** (2 * k - 2)
     u = 1.0 + q * q
     return u ** (k - 2) * (1.0 + (2 * k - 1) * q * q)
@@ -265,16 +263,9 @@ def jet_hamiltonian(x: State4, params: ModelParams) -> Jet2:
             + (0.5 * a) * (dq * dq))
 
 
-Field = Callable[[State4, ModelParams], Jet2]
-
-
-def apply_generator(f: Field, x: State4, params: ModelParams) -> ArrayLike:
-    """Evaluate L f at x: transport + friction on p0 + diffusion on (p0, p1)."""
-    j = f(x, params)
-    return generator_of_jet(j, x, params)
-
-
 def generator_of_jet(j: Jet2, x: State4, params: ModelParams) -> ArrayLike:
+    """L f at x from the jet j of f at x: transport, friction on p0 and
+    diffusion on (p0, p1)."""
     drift, _ = drift_and_noise(x, params)
     g = params.gamma
     return (drift[0] * j.d_q0 + drift[1] * j.d_q1
@@ -282,14 +273,10 @@ def generator_of_jet(j: Jet2, x: State4, params: ModelParams) -> ArrayLike:
             + g * (params.t_cold * j.d2_p0 + params.t_hot * j.d2_p1))
 
 
-def carre_du_champ(f: Field, g: Field, x: State4, params: ModelParams) -> ArrayLike:
-    """Gamma(f, g); twice the conventional normalization, so that
-    L(phi o g) = phi'(g) Lg + phi''(g) Gamma(g, g)."""
-    jf, jg = f(x, params), g(x, params)
-    return carre_of_jets(jf, jg, params)
-
-
 def carre_of_jets(jf: Jet2, jg: Jet2, params: ModelParams) -> ArrayLike:
+    """Gamma(f, g) from the jets of f and g at one state; twice the
+    conventional normalization, so that
+    L(phi o g) = phi'(g) Lg + phi''(g) Gamma(g, g)."""
     gm = params.gamma
     return gm * (params.t_cold * jf.d_p0 * jg.d_p0
                  + params.t_hot * jf.d_p1 * jg.d_p1)

@@ -11,7 +11,7 @@ symbolic ('gamma_pm', 'delta', 'eps').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -73,9 +73,6 @@ class RateRow:
     speed: Family
     prefactor: Family
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _isclose(a, b):
@@ -171,8 +168,11 @@ def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
 
 
 def _n_steps(span: float, dt: float) -> int:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """Steps of dt in span; dt in (0, inf), span in [0, inf) as for a chain."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= span < math.inf:
+        raise ValueError(f"a time span must be finite and >= 0, got {span}")
     return int(round(span / dt))
 
 

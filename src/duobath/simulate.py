@@ -58,8 +58,10 @@ class IntegratorConfig:
     max_halvings: int = 10       # 0 turns halving off
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and >= 0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if not self.substep_cap > 0:
@@ -417,10 +419,10 @@ class HillResult:
 
 HILL_MIN_TAIL = 1000   # fewest tail samples an estimate is made from
 HILL_BOOT_SEED = 0     # seed of the bootstrap that gives the stderr
+HILL_N_BOOT = 100      # bootstrap resamples behind the stderr
 
 
-def hill_estimator(samples, top_fraction: float = 0.01, *,
-                   n_boot: int = 100) -> HillResult:
+def hill_estimator(samples, top_fraction: float = 0.01) -> HillResult:
     """Hill estimate of the CCDF exponent over the top fraction of the sample.
 
     Also reports the estimate at top_fraction, /2 and /4; a systematic rise
@@ -447,7 +449,7 @@ def hill_estimator(samples, top_fraction: float = 0.01, *,
     rng = np.random.default_rng(HILL_BOOT_SEED)
     logr = np.log(x[n - kt:] / thr)
     boots = 1.0 / np.array([np.mean(rng.choice(logr, size=kt, replace=True))
-                            for _ in range(n_boot)])
+                            for _ in range(HILL_N_BOOT)])
     ladder = []
     for div in (1, 2, 4):
         kk = max(kt // div, 10)
@@ -463,7 +465,7 @@ def hill_estimator(samples, top_fraction: float = 0.01, *,
 
 # histogram TV proxy ----------------------------------------------------------
 
-def tv_proxy(a, b, binning: int = 6) -> float:
+def tv_proxy(a, b, binning: int) -> float:
     """Half L1 distance between normalized histograms of two equally sized
     samples on a common per-dimension quantile grid.  Lower-bounds the true
     total variation distance, consistently as the grid refines."""

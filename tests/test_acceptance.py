@@ -17,8 +17,8 @@ from duobath import oscillator as osc
 from duobath import reduced as rd
 from duobath import simulate as sim
 from duobath.cli import main
-from duobath.model import ModelParams, State4, hamiltonian, apply_generator, \
-    jet_hamiltonian
+from duobath.model import ModelParams, State4, hamiltonian, \
+    generator_of_jet, jet_hamiltonian
 from duobath.presets import run_preset
 
 CH_REF = 0.6354699
@@ -59,7 +59,7 @@ class TestAcceptance:
         p = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
         rng = np.random.default_rng(123)
         x = State4(*(rng.normal(0, 2, 1000) for _ in range(4)))
-        lh = apply_generator(jet_hamiltonian, x, p)
+        lh = generator_of_jet(jet_hamiltonian(x, p), x, p)
         expect = p.gamma * (p.t_cold + p.t_hot) - p.gamma * np.asarray(x.p0) ** 2
         dev = np.max(np.abs(lh - expect) / np.maximum(1.0, np.abs(expect)))
         ok = dev < 1e-12

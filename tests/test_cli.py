@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from duobath import oscillator as osc
+from duobath import simulate as sim
 from duobath.cli import main
 from duobath.config import ConfigError, parse_config_text
 
@@ -83,7 +84,9 @@ class TestExitCodes:
                         "model.k = 3\nmodel.t_hot = 20\n"
                         "integrator.dt = 0.2\nintegrator.max_halvings = 0\n"
                         "integrator.t_end = 4\nensemble.n_paths = 64\n"
-                        "tails.burn_in = 0\ntails.thin_stride = 1\n")
+                        "tails.burn_in = 0\ntails.thin_stride = 1\n"
+                        # 1024 of the 1280 pooled energies: a valid tail
+                        "tails.top_fraction = 0.8\n")
         err = capsys.readouterr().err
         assert code == 1
         assert "non-finite state in ensemble at t=" in err and "path " in err
@@ -198,6 +201,41 @@ class TestExitCodes:
         assert f"tails.burn_in = {burn_in} " in err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
+    @pytest.mark.parametrize("top", [0.001, 1.0])
+    def test_tail_size_is_checked_before_the_first_step(
+            self, tmp_path, capsys, monkeypatch, top):
+        # at the defaults 512 x 200 energies are pooled: 0.001 keeps 102 of
+        # them, 1.0 all of them, and neither leaves a Hill estimate
+        def run_paths(*args, **kwargs):
+            raise AssertionError("the ensemble was run")
+        monkeypatch.setattr(sim, "run_paths", run_paths)
+        code, out = run(tmp_path, "tails", f"tails.top_fraction = {top}\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert f"tails.top_fraction = {top} " in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command, cfg, prefix", [
+        ("simulate", "integrator.t_end = -1", "configuration error:"),
+        ("simulate", "integrator.dt = inf", "configuration error:"),
+        ("simulate", "integrator.t_end = inf", "configuration error:"),
+        ("simulate", "integrator.dt = nan", "configuration error:"),
+        ("simulate", "integrator.t_end = nan", "configuration error:"),
+        ("reduced", "reduced.t_end = -5", "error:"),
+        ("reduced", "reduced.t_end = inf", "error:"),
+    ])
+    def test_run_length_outside_its_range_is_exit_1(self, tmp_path, capsys,
+                                                     command, cfg, prefix):
+        # dt lies in (0, inf) and t_end in [0, inf), for the chain and for
+        # the surrogate
+        code, out = run(tmp_path, command, cfg + "\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(prefix) and "Traceback" not in err
+        assert not (out / "report.json").exists()
+        assert not (out / "stats.csv").exists()
+
     def test_integrator_scheme_key_is_exit_1(self, tmp_path, capsys):
         # Strang splitting is the only scheme; even its old name is rejected
         code, out = run(tmp_path, "simulate",
@@ -221,21 +259,29 @@ class TestArtifacts:
         assert "numpy" in man["versions"]
         assert "threads" not in man
 
-    def test_phase_diagram_regimes_and_roundtrip(self, tmp_path):
+    def test_phase_diagram_regimes_and_roundtrip(self, tmp_path, capsys):
         from duobath.oscillator import c_hat
         ch = c_hat()
-        cfg = (f"grid.k_values = 0.4 0.75 1.0 1.2 1.5 2.0 3.0\n"
+        cfg = (f"grid.k_values = 0.4 0.75 1.0 1.2 1.5 2.0 3.0 -1\n"
                f"grid.t_hot_values = 0.3 {2 * ch} {ch}\n")
         code, out = run(tmp_path, "phase-diagram", cfg)
         assert code == 0
         lines = (out / "phase_diagram.csv").read_text().splitlines()
         assert lines[0] == "k,t_hot,regime,integrability,speed,prefactor"
         regimes = {ln.split(",")[2] for ln in lines[1:]}
-        assert {"0<k<=1/2", "1/2<=k<1", "k=1", "1<k<=4/3", "4/3<=k<2",
-                "k=2-sub", "k=2-super", "k=2-critical", "k>2"} <= regimes
+        assert {"k<=0", "0<k<=1/2", "1/2<=k<1", "k=1", "1<k<=4/3",
+                "4/3<=k<2", "k=2-sub", "k=2-super", "k=2-critical",
+                "k>2"} <= regimes
         # csv floats round-trip
         k_back = float(lines[1].split(",")[0])
         assert k_back == 0.4
+        # k = 0, the logarithmic potential, has no row
+        code, out = run(tmp_path / "k0", "phase-diagram",
+                        "grid.k_values = -1 0 2\n")
+        assert code == 1
+        assert capsys.readouterr().err \
+            == "error: k = 0 (logarithmic potential) is not supported\n"
+        assert not (out / "phase_diagram.csv").exists()
 
     def test_config_from_stdin(self, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("grid.k_values = 2.0\n"))

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from duobath import lyapunov as ly
 from duobath import oscillator as osc
 from duobath import simulate as sim
 from duobath.model import (ModelParams, State4, hamiltonian, drift_and_noise,
-                           apply_generator, jet_coord, jet_hamiltonian,
+                           generator_of_jet, jet_coord, jet_hamiltonian,
                            quintic_bridge)
 from duobath.presets import PRESET_NAMES, get_preset, run_preset
 
@@ -226,16 +226,6 @@ class TestBuiltFields:
             err = np.max(np.abs(got - lf_fd) / (1 + np.abs(got)))
             assert err < 1e-4, (family.__name__, err)
 
-    def test_tildeH0_harmonic_degeneration(self):
-        # harmonic test mode (k = 1): theta = 0 and no oscillator correction
-        # reduce the field to p0^2/2 + Veff(q0) exactly
-        pk1 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=1.0)
-        form = ly.tilde_h0(pk1, theta=0.0)
-        x = State4(q0=1.5, q1=0.3, p0=-0.7, p1=2.0)
-        got = float(form.values(x, pk1))
-        veff = 1.5 ** 2 / 2 + 0.5 * pk1.alpha * 1.5 ** 2
-        assert got == pytest.approx(0.5 * 0.7 ** 2 + veff, rel=1e-12)
-
     def test_v_k2_coercive_lower_bound(self):
         # V >= (1-c)/2 * H outside a ball, on shell samples
         form = ly.v_k2(P2, theta=-0.08, c=0.9, E=1e4)
@@ -257,6 +247,8 @@ class TestBuiltFields:
                 family(P15, eta_cutoff=0.0)
         with pytest.raises(ValueError, match="eps must be positive"):
             ly.hat_h_smallk(P075, eps=0.0)
+        with pytest.raises(ValueError, match="1 < k <= 2"):
+            ly.tilde_h0(replace(P2, k=1.0))
 
     @pytest.mark.parametrize("name", BUILDERS)
     def test_unknown_keyword_is_a_type_error(self, name):
@@ -485,8 +477,8 @@ class TestVerify:
         # W = exp(H/T): L W >= 0 everywhere (not just outside a ball), so
         # uncorrected shells do
         form = ly.exp_h(P2, beta=1.0 / P2.t_cold)
-        rep = ly.verify_sign(form, ly.drift_above(0.0),
-                             ly.ShellSpec(r0=50.0), 1000, 2, P2)
+        nonneg = ly.Predicate("L W / W >= 0", lambda d, a, s, p: d)
+        rep = ly.verify_sign(form, nonneg, ly.ShellSpec(r0=50.0), 1000, 2, P2)
         assert rep.final_verdict and rep.stabilized
 
     def test_small_n_rejected(self):
@@ -500,7 +492,7 @@ class TestVerify:
                             shell_phi=osc.build_phi(2.0))
         rep = ly.verify_sign(form, ly.drift_below(1.0), ly.ShellSpec(r0=10.0),
                              1000, 0, P2)
-        parsed = json.loads(json.dumps(rep.to_dict()))
+        parsed = json.loads(json.dumps(asdict(rep)))
         assert parsed["n_per_shell"] == 1000
         assert len(parsed["shells"]) == len(rep.shells)
 
@@ -528,7 +520,7 @@ class TestWonham:
 
 
 class TestPresets:
-    # SHA-256 of json.dumps(run_preset(name, n=1000, seed=5).to_dict(),
+    # SHA-256 of json.dumps(asdict(run_preset(name, n=1000, seed=5)),
     # sort_keys=True) for the frozen presets.  A deliberate change to a
     # preset or to the verification arithmetic moves these, and that change
     # replaces them.
@@ -549,7 +541,7 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_report_is_pinned(self, name):
-        rep = run_preset(name, n=1000, seed=5).to_dict()
+        rep = asdict(run_preset(name, n=1000, seed=5))
         digest = hashlib.sha256(
             json.dumps(rep, sort_keys=True).encode()).hexdigest()
         assert digest == self.PINNED[name]
@@ -659,11 +651,12 @@ class TestMomentEnvelope:
         rng = np.random.default_rng(3)
         q0, q1, p1 = rng.normal(scale=2.0, size=(3, 200))
         for p0 in (np.zeros(200), rng.normal(scale=2.0, size=200)):
-            lh = apply_generator(jet_hamiltonian, State4(q0, q1, p0, p1), P2)
+            x = State4(q0, q1, p0, p1)
+            lh = generator_of_jet(jet_hamiltonian(x, P2), x, P2)
             assert np.all(lh <= 1.3 + 1e-12)
-        assert np.max(apply_generator(jet_hamiltonian,
-                                      State4(q0, q1, np.zeros(200), p1),
-                                      P2)) == pytest.approx(1.3)
+        x = State4(q0, q1, np.zeros(200), p1)
+        assert np.max(generator_of_jet(jet_hamiltonian(x, P2), x, P2)) \
+            == pytest.approx(1.3)
 
     def test_zero_time_consistency(self):
         # the moment series starts at H(x0)^a exactly, where the envelope does

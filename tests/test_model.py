@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from duobath.model import (ModelParams, State4, Jet2, jet_coord, jet_const,
                            jet_hamiltonian, v1_eval, v1_prime, v1_second,
-                           hamiltonian, drift_and_noise, apply_generator,
-                           carre_du_champ, generator_of_jet, carre_of_jets)
+                           hamiltonian, drift_and_noise, generator_of_jet,
+                           carre_of_jets)
 
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
@@ -57,6 +57,15 @@ class TestPotential:
             fd2 = (v1_prime(q + h, p) - v1_prime(q - h, p)) / (2 * h)
             assert np.allclose(fd2, v1_second(q, p), atol=1e-6)
 
+    def test_harmonic_pure_power_is_exact(self):
+        # at k = 1 the general power formula gives V1' = q and V1'' = 1 to
+        # the bit, signed zeros, subnormals, infinities and NaN included
+        p1 = replace(P2, k=1.0)
+        q = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                      *np.random.default_rng(0).normal(0, 1e3, 1000)])
+        assert v1_prime(q, p1).tobytes() == q.tobytes()
+        assert np.all(v1_second(q, p1) == 1.0)
+
 
 class TestHamiltonian:
     def test_zero_state(self):
@@ -104,35 +113,35 @@ class TestDrift:
 
 class TestGenerator:
     def test_kills_constants(self):
-        f = lambda x, p: jet_const(3.7)
         x = random_states(20, seed=1)
-        assert np.allclose(apply_generator(f, x, P2), 0.0)
+        assert np.allclose(generator_of_jet(jet_const(3.7), x, P2), 0.0)
 
     def test_energy_drift_identity(self):
         # L H = gamma (T + T_inf) - gamma p0^2, exactly
         x = random_states(1000, seed=2, scale=3.0)
-        lh = apply_generator(jet_hamiltonian, x, P2)
+        lh = generator_of_jet(jet_hamiltonian(x, P2), x, P2)
         expect = P2.gamma * (P2.t_cold + P2.t_hot) - P2.gamma * np.asarray(x.p0) ** 2
         assert np.max(np.abs(lh - expect)) < 1e-12 * (1 + np.max(np.abs(expect)))
 
     def test_p1_squared_hand_value(self):
-        f = lambda x, p: 0.5 * (jet_coord("p1", x) * jet_coord("p1", x))
         x = State4(1.0, -1.0, 0.0, 3.0)
-        got = apply_generator(f, x, P2)
+        p1 = jet_coord("p1", x)
+        got = generator_of_jet(0.5 * (p1 * p1), x, P2)
         assert got == pytest.approx(3.0 * (1.0 + 2.0) + P2.gamma * P2.t_hot)
 
 
 class TestCarreDuChamp:
     def test_energy_form(self):
         x = random_states(100, seed=4)
-        g = carre_du_champ(jet_hamiltonian, jet_hamiltonian, x, P2)
+        jh = jet_hamiltonian(x, P2)
+        g = carre_of_jets(jh, jh, P2)
         expect = P2.gamma * (P2.t_cold * np.asarray(x.p0) ** 2
                              + P2.t_hot * np.asarray(x.p1) ** 2)
         assert np.allclose(g, expect, rtol=1e-14)
 
     def test_constant_kills(self):
         x = random_states(10, seed=5)
-        g = carre_du_champ(jet_hamiltonian, lambda x, p: jet_const(2.0), x, P2)
+        g = carre_of_jets(jet_hamiltonian(x, P2), jet_const(2.0), P2)
         assert np.allclose(g, 0.0)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -142,20 +151,13 @@ class TestCarreDuChamp:
         x = State4(*(rng.normal(0, 2, 5) for _ in range(4)))
         a, b = rng.normal(), rng.normal()
 
-        def f(x, p):
-            return jet_coord("p0", x) * jet_coord("q1", x)
-
-        def g(x, p):
-            return jet_coord("p1", x) * jet_coord("p1", x)
-
-        def h(x, p):
-            return a * f(x, p) + b * g(x, p)
-
-        gfg = carre_du_champ(f, g, x, P2)
-        ggf = carre_du_champ(g, f, x, P2)
+        f = jet_coord("p0", x) * jet_coord("q1", x)
+        g = jet_coord("p1", x) * jet_coord("p1", x)
+        gfg = carre_of_jets(f, g, P2)
+        ggf = carre_of_jets(g, f, P2)
         assert np.allclose(gfg, ggf)
-        lhs = carre_du_champ(h, g, x, P2)
-        rhs = a * gfg + b * carre_du_champ(g, g, x, P2)
+        lhs = carre_of_jets(a * f + b * g, g, P2)
+        rhs = a * gfg + b * carre_of_jets(g, g, P2)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -163,10 +165,10 @@ class TestChainRule:
     def test_square_of_p0(self):
         # L(phi o g) = phi'(g) Lg + phi''(g) Gamma(g, g) for phi(s) = s^2
         x = random_states(200, seed=6)
-        g = lambda x, p: jet_coord("p0", x)
-        lhs = apply_generator(lambda x, p: g(x, p) * g(x, p), x, P2)
-        lg = apply_generator(g, x, P2)
-        gam = carre_du_champ(g, g, x, P2)
+        g = jet_coord("p0", x)
+        lhs = generator_of_jet(g * g, x, P2)
+        lg = generator_of_jet(g, x, P2)
+        gam = carre_of_jets(g, g, P2)
         rhs = 2 * np.asarray(x.p0) * lg + 2 * gam
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + np.max(np.abs(rhs)))
 
@@ -178,17 +180,13 @@ class TestChainRule:
         c = rng.normal(size=5)
         x = State4(*(rng.normal(0, 1.5, 3) for _ in range(4)))
 
-        def g(x, p):
-            return (c[0] * jet_coord("q0", x) + c[1] * jet_coord("p1", x)
-                    + c[2] * (jet_coord("p0", x) * jet_coord("q1", x))
-                    + c[3] * (jet_coord("p1", x) * jet_coord("p1", x))
-                    + c[4])
-
-        jg = g(x, P2)
-        phi = lambda v: v ** 3
-        lhs = apply_generator(
-            lambda x, p: g(x, p).compose(phi, lambda v: 3 * v ** 2,
-                                         lambda v: 6 * v), x, P2)
+        jg = (c[0] * jet_coord("q0", x) + c[1] * jet_coord("p1", x)
+              + c[2] * (jet_coord("p0", x) * jet_coord("q1", x))
+              + c[3] * (jet_coord("p1", x) * jet_coord("p1", x))
+              + c[4])
+        lhs = generator_of_jet(
+            jg.compose(lambda v: v ** 3, lambda v: 3 * v ** 2,
+                       lambda v: 6 * v), x, P2)
         rhs = (3 * jg.value ** 2 * generator_of_jet(jg, x, P2)
                + 6 * jg.value * carre_of_jets(jg, jg, P2))
         scale = 1 + np.max(np.abs(rhs))

@@ -180,11 +180,18 @@ class TestRunReduced:
 
     def test_non_positive_dt_rejected(self):
         rp = rd.ReducedParams(eta=1.0, sigma=0.0)
-        for dt in (0.0, -0.01):
+        for dt in (0.0, -0.01, math.inf, math.nan):
             with pytest.raises(ValueError, match="dt must be positive"):
                 rd.simulate_reduced(rp, dt, 1.0, 10, 0)
             with pytest.raises(ValueError, match="dt must be positive"):
                 rd.sample_stationary(rp, dt, 1.0, 10, 2, 0.5, 0)
+        for span in (-5.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                rd.simulate_reduced(rp, 0.01, span, 10, 0)
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                rd.sample_stationary(rp, 0.01, span, 10, 2, 0.5, 0)
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                rd.sample_stationary(rp, 0.01, 1.0, 10, 2, span, 0)
 
 
 class TestHelperThread:

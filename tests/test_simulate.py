@@ -662,13 +662,20 @@ class TestIntegratorConfig:
         {"max_halvings": 256},    # level 256 & 0xFF would reuse level 0's noise
         {"substep_cap": 0.0},     # would divide by zero
         {"substep_cap": -5.0},    # would silently turn halving off
+        {"dt": 0.0},
+        {"dt": math.inf},         # would run zero steps
+        {"dt": math.nan},
+        {"t_end": -1.0},          # would record only t = 0
+        {"t_end": math.inf},      # would overflow the step count
+        {"t_end": math.nan},
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
             sim.IntegratorConfig(**bad)
 
     def test_extremes_and_off_switch_accepted(self):
-        for ok in ({"max_halvings": 0}, {"max_halvings": 255}):
+        for ok in ({"max_halvings": 0}, {"max_halvings": 255},
+                   {"t_end": 0.0}):
             sim.IntegratorConfig(**ok)
 
 
@@ -692,8 +699,8 @@ class TestHill:
     def test_scale_invariance(self, c):
         rng = np.random.default_rng(5)
         x = rng.uniform(size=20_000) ** (-1 / 1.5)
-        a = sim.hill_estimator(x, 0.05, n_boot=5)
-        b = sim.hill_estimator(c * x, 0.05, n_boot=5)
+        a = sim.hill_estimator(x, 0.05)
+        b = sim.hill_estimator(c * x, 0.05)
         assert a.index == pytest.approx(b.index, rel=1e-12)
 
     def test_insufficient_tail_rejected(self):
@@ -727,7 +734,7 @@ class TestTVProxy:
 
     def test_unequal_counts_rejected(self):
         with pytest.raises(ValueError):
-            sim.tv_proxy(np.zeros((10, 2)), np.zeros((11, 2)))
+            sim.tv_proxy(np.zeros((10, 2)), np.zeros((11, 2)), 4)
 
     def test_refinement_monotone_lower_bound(self):
         rng = np.random.default_rng(4)
