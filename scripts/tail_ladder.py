@@ -44,9 +44,9 @@ def run(burn_in, dt, args):
     """Hill result and (halved, clipped) path-step shares of one run."""
     cfg = sim.IntegratorConfig(dt=dt, t_end=0.0, record_stride=10 ** 9,
                                substep_cap=50.0)
-    burn = int(round(burn_in / dt))
-    gap = int(round(args.gap / dt))
-    total = burn + args.snapshots * gap
+    burn, gap = sim.steps_in(burn_in, dt), sim.steps_in(args.gap, dt)
+    kept = range(burn + gap, burn + args.snapshots * gap + 1, gap)
+    total = kept[-1]
     h_of = sim.obs_energy(PARAMS)
     clip_at = cfg.substep_cap * 2.0 ** cfg.max_halvings
     halved = clipped = 0
@@ -57,7 +57,7 @@ def run(burn_in, dt, args):
             mag = np.maximum(np.abs(f0), np.abs(f1))
             halved += int(np.count_nonzero(mag > cfg.substep_cap))
             clipped += int(np.count_nonzero(mag > clip_at))
-        if i > burn and (i - burn) % gap == 0:
+        if i in kept:
             chunks.append(np.asarray(h_of(s)))
     hill = sim.hill_estimator(np.concatenate(chunks), TOP_FRACTION)
     steps = args.paths * total

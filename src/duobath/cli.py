@@ -28,16 +28,14 @@ from .model import ModelParams
 
 CCDF_POINTS = 200   # log-spaced order statistics written to ccdf.csv
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
 
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+            w.writerow([c if isinstance(c, str) else repr(float(c))
+                        for c in row])
 
 
 def _prepare(args, command):
@@ -124,22 +122,15 @@ def _observables(names, p):
     return obs
 
 
-def _stats_rows(series):
-    rows = []
-    for name, st in series.stats.items():
-        for i, t in enumerate(series.times):
-            rows.append([t, name, st["mean"][i],
-                         *(st[q][i] for q in sim.QUANTILES)])
-    return rows
-
-
 def cmd_simulate(args) -> int:
     cfg, out, seed = _prepare(args, "simulate")
     p, icfg, x0, n = chain_from_config(cfg)
     obs = _observables(cfg["observables.names"], p)
     series = sim.simulate_ensemble(x0, icfg, p, obs, seed=seed, n_paths=n)
     _write_csv(out / "stats.csv", ["t", "observable", "mean", *sim.QUANTILES],
-               _stats_rows(series))
+               [[t, name, st["mean"][i], *(st[q][i] for q in sim.QUANTILES)]
+                for name, st in series.stats.items()
+                for i, t in enumerate(series.times)])
     if cfg["samples.dump"]:
         _write_csv(out / "samples.csv", ["q0", "q1", "p0", "p1"],
                    series.final.as_array().T.tolist())
@@ -154,13 +145,14 @@ def cmd_tails(args) -> int:
     if thin < 1:
         raise ConfigError(f"tails.thin_stride = {thin} is not a positive "
                           "stride")
-    n_steps = int(round(icfg.t_end / icfg.dt))
+    n_steps = sim.steps_in(icfg.t_end, icfg.dt)
     burn_in = cfg["tails.burn_in"]
     burn_steps = int(round(burn_in * n_steps))
     if burn_in < 0 or burn_steps >= n_steps:
         raise ConfigError(f"tails.burn_in = {burn_in} leaves none of the "
                           f"{n_steps} integrator steps to sample")
-    count = n * -(-(n_steps - burn_steps) // thin)   # energies pooled below
+    kept = range(burn_steps + 1, n_steps + 1, thin)
+    count = n * len(kept)   # energies pooled below
     top = cfg["tails.top_fraction"]
     n_tail = int(count * top)
     if not sim.HILL_MIN_TAIL <= n_tail < count:
@@ -172,7 +164,7 @@ def cmd_tails(args) -> int:
     # burn in, then pool H over paths x thinned snapshots
     chunks = []
     for i, s in sim.run_paths(x0, n, seed, n_steps, icfg, p):
-        if i > burn_steps and (i - 1 - burn_steps) % thin == 0:
+        if i in kept:
             chunks.append(np.asarray(h_of(s)))
     samples = np.concatenate(chunks)
     hill = sim.hill_estimator(samples, top)
@@ -197,9 +189,13 @@ def cmd_convergence(args) -> int:
     cfg, out, seed = _prepare(args, "convergence")
     p, icfg, x0, n = chain_from_config(cfg)
     burn = cfg["convergence.burn_in"]
+    try:    # the stationary reference's run
+        ref_cfg = replace(icfg, t_end=burn)
+    except ValueError as e:
+        raise ConfigError(f"convergence.burn_in = {burn}: {e}")
     binning = cfg["convergence.binning"]
     n_times = cfg["convergence.n_times"]
-    n_steps = int(round(icfg.t_end / icfg.dt))
+    n_steps = sim.steps_in(icfg.t_end, icfg.dt)
     if not 1 <= n_times <= n_steps:
         raise ConfigError(f"convergence.n_times = {n_times} is not between 1 "
                           f"and the {n_steps} steps of integrator.dt = "
@@ -208,7 +204,6 @@ def cmd_convergence(args) -> int:
     marks = {int(round(j * n_steps / n_times)) for j in range(1, n_times + 1)}
 
     # stationary reference: long burn-in from a moderate-energy start
-    ref_cfg = replace(icfg, t_end=burn)
     ref = sim.simulate_ensemble(x0, ref_cfg, p, {}, seed=seed + 1,
                                 n_paths=n).final.as_array().T
     ref2 = sim.simulate_ensemble(x0, ref_cfg, p, {}, seed=seed + 2,

@@ -20,6 +20,7 @@ from .model import (REGULARIZED, ModelParams, State4, Jet2, jet_coord,
                     carre_of_jets, quintic_bridge, v1_eval, v1_prime,
                     v1_second)
 from . import oscillator as osc
+from . import reduced as rd
 from .linear import GramForm, build_matrices, build_gram, \
     default_gamma_tilde, g_eps_profile
 
@@ -373,9 +374,9 @@ def w1_nonexist(params: ModelParams, *, theta=0.02, E=50.0, zeta=0.02,
 def w_exp_frac(params: ModelParams, *, theta=0.05, eta_cutoff=2.0,
                kappa=None, delta=0.05) -> ExpForm:
     """exp(delta V^kappa) of the v_klt2 field V; kappa defaults to
-    2/k - 1."""
+    reduced.kappa(k) = 2/k - 1."""
     if kappa is None:
-        kappa = 2.0 / params.k - 1.0
+        kappa = rd.kappa(params.k)
     base = v_klt2(params, theta=theta, eta_cutoff=eta_cutoff)
     return ExpForm(base, *_power(delta, kappa),
                    name=f"exp({delta}*V^{kappa:.4g})", shell_phi=base.shell_phi,

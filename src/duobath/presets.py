@@ -18,6 +18,7 @@ from typing import Callable, Dict, Optional
 from .model import ModelParams
 from .oscillator import c_hat
 from . import lyapunov as ly
+from . import reduced as rd
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ def _k2_params(t_hot: float) -> ModelParams:
     return ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=t_hot, k=2.0)
 
 
-_FRAC_KAPPA = 2.0 / 1.5 - 1.0
+_FRAC_KAPPA = rd.kappa(1.5)
 
 PRESETS = {
     # k=2 existence (t_hot < critical): coercive drift of the corrected energy

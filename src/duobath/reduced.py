@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from .model import ModelParams
-from .simulate import NoiseStream, check_finite
+from .simulate import NoiseStream, check_finite, steps_in
 
 ISCLOSE_TOL = 1e-12   # relative tolerance of the regime-boundary tests
 
@@ -167,19 +167,10 @@ def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
         noise.close()
 
 
-def _n_steps(span: float, dt: float) -> int:
-    """Steps of dt in span; dt in (0, inf), span in [0, inf) as for a chain."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not 0 <= span < math.inf:
-        raise ValueError(f"a time span must be finite and >= 0, got {span}")
-    return int(round(span / dt))
-
-
 def simulate_reduced(rp: ReducedParams, dt: float, t_end: float,
                      n_paths: int, seed: int) -> np.ndarray:
-    """X of every path at t_end (run_reduced over round(t_end / dt) steps)."""
-    for _, x in run_reduced(rp, dt, _n_steps(t_end, dt), n_paths, seed):
+    """X of every path at t_end: run_reduced over steps_in(t_end, dt) steps."""
+    for _, x in run_reduced(rp, dt, steps_in(t_end, dt), n_paths, seed):
         pass
     return x
 
@@ -188,7 +179,7 @@ def sample_stationary(rp: ReducedParams, dt: float, burn_in: float,
                       n_paths: int, n_snapshots: int, snapshot_gap: float,
                       seed: int) -> np.ndarray:
     """Pooled stationary samples: burn in, then collect the ensemble every
-    snapshot_gap time units.
+    snapshot_gap time units, which must be at least one step of dt.
 
     Heavy-tail regimes (sigma = -1) fill the tail diffusively, so the burn-in
     must cover the square of the largest X the estimate probes; a flat 200
@@ -196,12 +187,12 @@ def sample_stationary(rp: ReducedParams, dt: float, burn_in: float,
     """
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
-    burn = _n_steps(burn_in, dt)
-    gap = max(1, _n_steps(snapshot_gap, dt))
-    return np.concatenate([
-        x for i, x in run_reduced(rp, dt, burn + n_snapshots * gap, n_paths,
-                                  seed)
-        if i > burn and (i - burn) % gap == 0])
+    burn, gap = steps_in(burn_in, dt), steps_in(snapshot_gap, dt)
+    if gap < 1:
+        raise ValueError(f"snapshot_gap = {snapshot_gap} is no step of dt")
+    kept = range(burn + gap, burn + n_snapshots * gap + 1, gap)
+    run = run_reduced(rp, dt, kept[-1], n_paths, seed)
+    return np.concatenate([x for i, x in run if i in kept])
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,21 @@ class IntegrationError(RuntimeError):
         self.path = path
 
 
+MAX_STEPS = 2 ** 56   # _chain_words packs the step above 8 bits of 64
+
+
+def steps_in(span: float, dt: float) -> int:
+    """The steps of dt in the time span, round(span / dt): dt in (0, inf),
+    span in [0, inf) and span / dt below MAX_STEPS, else ValueError."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= span < math.inf:
+        raise ValueError(f"a time span must be finite and >= 0, got {span}")
+    if not span / dt < MAX_STEPS:
+        raise ValueError(f"span {span} / dt {dt} is not below 2**56 steps")
+    return int(round(span / dt))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = 0.005
@@ -58,10 +73,7 @@ class IntegratorConfig:
     max_halvings: int = 10       # 0 turns halving off
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        if not 0 <= self.t_end < math.inf:
-            raise ValueError("t_end must be finite and >= 0")
+        steps_in(self.t_end, self.dt)
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if not self.substep_cap > 0:
@@ -181,7 +193,12 @@ class NoiseStream:
 
     def normals(self, step: int, group: int, sub: int, shape) -> np.ndarray:
         """The chain's block of (step, halving level, substep)."""
-        return self.block(sub, (step << 8) | (group & 0xFF), shape)
+        return self.block(*_chain_words(step, group, sub), shape)
+
+
+def _chain_words(step: int, level: int, sub: int) -> Tuple[int, int]:
+    """Counter words of the chain's block of (step, halving level, sub)."""
+    return sub, (step << 8) | (level & 0xFF)
 
 
 def _coefficients(h, params):
@@ -311,7 +328,7 @@ def run_paths(x0: State4, n_paths: int, seed: int, n_steps: int,
         yield 0, State4(q0, q1, p0, p1)
         for i in range(n_steps):
             if i + 1 < n_steps:
-                noise.prefetch(0, (i + 1) << 8, 4 * n_paths)
+                noise.prefetch(*_chain_words(i + 1, 0, 0), 4 * n_paths)
             q0, q1, p0, p1 = step_ensemble(q0, q1, p0, p1, i, cfg, params,
                                            noise)
             check_finite((i + 1) * cfg.dt, q0, q1, p0, p1)
@@ -381,7 +398,7 @@ def simulate_ensemble(x0: State4, cfg: IntegratorConfig, params: ModelParams,
                       n_paths: int) -> EnsembleSeries:
     """Evolve n_paths copies of x0 and record observable statistics every
     record_stride steps and at the end."""
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = steps_in(cfg.t_end, cfg.dt)
     rec_t = []
     rec = {name: [] for name in observables}
     for i, s in run_paths(x0, n_paths, seed, n_steps, cfg, params):

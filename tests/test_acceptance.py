@@ -227,14 +227,12 @@ class TestAcceptance:
         cfg = sim.IntegratorConfig(dt=0.005, t_end=0.0,
                                    record_stride=10 ** 9, substep_cap=50.0)
         h_of = sim.obs_energy(p)
-        burn_steps = int(round(1000.0 / cfg.dt))
-        gap_steps = int(round(25.0 / cfg.dt))
-        n_snap = 80
+        burn, gap = sim.steps_in(1000.0, cfg.dt), sim.steps_in(25.0, cfg.dt)
+        kept = range(burn + gap, burn + 80 * gap + 1, gap)
         chunks = []
-        total = burn_steps + n_snap * gap_steps
         for i, s in sim.run_paths(State4(1.0, -1.0, 0.5, 0.5), 4096, 7,
-                                  total, cfg, p):
-            if i > burn_steps and (i - burn_steps) % gap_steps == 0:
+                                  kept[-1], cfg, p):
+            if i in kept:
                 chunks.append(np.asarray(h_of(s)))
         samples = np.concatenate(chunks)
         hill = sim.hill_estimator(samples, 0.01)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from duobath import oscillator as osc
+from duobath import reduced as rd
 from duobath import simulate as sim
 from duobath.cli import main
 from duobath.config import ConfigError, parse_config_text
@@ -222,19 +223,32 @@ class TestExitCodes:
         ("simulate", "integrator.t_end = inf", "configuration error:"),
         ("simulate", "integrator.dt = nan", "configuration error:"),
         ("simulate", "integrator.t_end = nan", "configuration error:"),
+        # t_end / dt overflows to inf
+        ("simulate", "integrator.dt = 1e-320", "configuration error:"),
+        ("tails", "integrator.dt = 1e-320", "configuration error:"),
+        ("convergence", "integrator.dt = 1e-320", "configuration error:"),
+        ("convergence", "convergence.burn_in = -1",
+         "configuration error: convergence.burn_in = -1.0:"),
         ("reduced", "reduced.t_end = -5", "error:"),
         ("reduced", "reduced.t_end = inf", "error:"),
+        ("reduced", "reduced.dt = 1e-320", "error:"),
     ])
-    def test_run_length_outside_its_range_is_exit_1(self, tmp_path, capsys,
-                                                     command, cfg, prefix):
-        # dt lies in (0, inf) and t_end in [0, inf), for the chain and for
-        # the surrogate
+    def test_run_length_outside_its_range_is_exit_1(
+            self, tmp_path, capsys, monkeypatch, command, cfg, prefix):
+        # dt lies in (0, inf), a time span in [0, inf) and span / dt below
+        # 2**56 steps, for the chain and for the surrogate, checked before
+        # the first step
+        def ran(*args, **kwargs):
+            raise AssertionError("the ensemble was run")
+        monkeypatch.setattr(sim, "run_paths", ran)
+        monkeypatch.setattr(rd, "run_reduced", ran)
         code, out = run(tmp_path, command, cfg + "\n")
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(prefix) and "Traceback" not in err
-        assert not (out / "report.json").exists()
-        assert not (out / "stats.csv").exists()
+        # reduced.mode = all writes the density before it simulates
+        assert {p.name for p in out.iterdir()} <= {"manifest.json",
+                                                   "density.csv"}
 
     def test_integrator_scheme_key_is_exit_1(self, tmp_path, capsys):
         # Strang splitting is the only scheme; even its old name is rejected

@@ -151,6 +151,9 @@ class TestRunReduced:
         rp = rd.ReducedParams(eta=1.0, sigma=0.0)
         with pytest.raises(ValueError, match="n_snapshots must be >= 1"):
             rd.sample_stationary(rp, 0.1, 1.0, 10, 0, 0.5, 0)
+        # a gap under half a step rounds to no step; it is not run as one
+        with pytest.raises(ValueError, match="snapshot_gap = 0.001 is no "):
+            rd.sample_stationary(rp, 0.01, 1.0, 10, 20, 0.001, 0)
 
     def test_above_the_prefetch_floor_equals_fresh_philox_per_step(self):
         # each step's block is drawn a step ahead on a helper thread
@@ -185,6 +188,11 @@ class TestRunReduced:
                 rd.simulate_reduced(rp, dt, 1.0, 10, 0)
             with pytest.raises(ValueError, match="dt must be positive"):
                 rd.sample_stationary(rp, dt, 1.0, 10, 2, 0.5, 0)
+        # 1 / 1e-320 overflows to inf, above the 2**56 steps a run may take
+        with pytest.raises(ValueError, match=r"2\*\*56 steps"):
+            rd.simulate_reduced(rp, 1e-320, 1.0, 10, 0)
+        with pytest.raises(ValueError, match=r"2\*\*56 steps"):
+            rd.sample_stationary(rp, 1e-320, 1.0, 10, 2, 0.5, 0)
         for span in (-5.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 rd.simulate_reduced(rp, 0.01, span, 10, 0)

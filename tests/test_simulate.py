@@ -324,20 +324,21 @@ class TestLookahead:
     N = 4096
 
     @pytest.fixture
-    def helper_draws(self, monkeypatch):
-        """Counter words of every block drawn off the caller's thread."""
-        caller, seen = threading.get_ident(), []
+    def draws(self, monkeypatch):
+        """Counter words of every block drawn, by the thread that drew it:
+        {"caller": [...], "helper": [...]}."""
+        caller, seen = threading.get_ident(), {"caller": [], "helper": []}
         draw = sim._Reseated.draw
 
         def spy(self, word1, word2, shape):
-            if threading.get_ident() != caller:
-                seen.append((word1, word2))
+            here = threading.get_ident() == caller
+            seen["caller" if here else "helper"].append((word1, word2))
             return draw(self, word1, word2, shape)
 
         monkeypatch.setattr(sim._Reseated, "draw", spy)
         return seen
 
-    def _check(self, x0, seed, n_steps, cfg, params, helper_draws):
+    def _check(self, x0, seed, n_steps, cfg, params, draws):
         """Compare run_paths with the hand loop; return the halving levels
         of each step."""
         assert 4 * self.N >= sim.PREFETCH_MIN_DRAWS
@@ -348,33 +349,37 @@ class TestLookahead:
             levels.append(_levels(x, params, cfg))
             x = sim.step_ensemble(*x, i, cfg, params, noise)
             expected.append(np.stack(x))
-        assert helper_draws == []       # the hand loop never prefetched
+        assert draws["helper"] == []    # the hand loop never prefetched
+        draws["caller"].clear()
         got = list(sim.run_paths(x0, self.N, seed, n_steps, cfg, params))
         assert [i for i, _ in got] == list(range(n_steps + 1))
         for (_, s), e in zip(got, expected):
             assert np.array_equal(s.as_array(), e)
-        # every level-0 block after the first is read from the helper; a
-        # stale one may be dropped before the helper starts on it
-        read = {(0, i << 8) for i in range(1, n_steps) if 0 in levels[i]}
-        assert read <= set(helper_draws) <= {(0, i << 8)
-                                             for i in range(1, n_steps)}
+        # every level-0 block after the first is read from the helper, and
+        # none is drawn again here; a stale one may be dropped before the
+        # helper starts on it
+        ahead = {sim._chain_words(i, 0, 0) for i in range(1, n_steps)}
+        read = {sim._chain_words(i, 0, 0)
+                for i in range(1, n_steps) if 0 in levels[i]}
+        assert read <= set(draws["helper"]) <= ahead
+        assert not ahead & set(draws["caller"])
         return levels
 
-    def test_level_zero_steps(self, helper_draws):
+    def test_level_zero_steps(self, draws):
         cfg = sim.IntegratorConfig(dt=0.005, substep_cap=50.0)
-        levels = self._check(X0, 7, 30, cfg, P2, helper_draws)
+        levels = self._check(X0, 7, 30, cfg, P2, draws)
         assert all(lv == {0} for lv in levels)
+        assert draws["caller"] == [sim._chain_words(0, 0, 0)]
 
-    def test_level_zero_group_reads_a_prefix_of_the_block(self,
-                                                         helper_draws):
+    def test_level_zero_group_reads_a_prefix_of_the_block(self, draws):
         levels = self._check(State4(2.0, -2.0, 0.0, 0.0), 11, 30, STIFF_CFG,
-                             STIFF, helper_draws)
+                             STIFF, draws)
         assert any(0 in lv and len(lv) > 1 for lv in levels[1:])
 
     def test_stale_block_of_a_step_without_level_zero_is_dropped(
-            self, helper_draws):
+            self, draws):
         levels = self._check(State4(3.0, -3.0, 0.0, 0.0), 11, 30, STIFF_CFG,
-                             STIFF, helper_draws)
+                             STIFF, draws)
         stale = [i for i, lv in enumerate(levels) if i and 0 not in lv]
         assert stale and any(0 in lv for lv in levels[stale[-1] + 1:])
 
@@ -668,6 +673,8 @@ class TestIntegratorConfig:
         {"t_end": -1.0},          # would record only t = 0
         {"t_end": math.inf},      # would overflow the step count
         {"t_end": math.nan},
+        {"dt": 1e-320},           # t_end / dt overflows to inf
+        {"t_end": 1e3, "dt": 1e-15},   # 10**18 steps, above 2**56
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
