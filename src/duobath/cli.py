@@ -146,14 +146,19 @@ def cmd_tails(args) -> int:
         raise ConfigError(f"tails.thin_stride = {thin} is not a positive "
                           "stride")
     n_steps = sim.steps_in(icfg.t_end, icfg.dt)
+    # each fraction is range-checked before round or int meets inf or NaN
     burn_in = cfg["tails.burn_in"]
+    if not 0 <= burn_in <= 1:
+        raise ConfigError(f"tails.burn_in = {burn_in} is not in [0, 1]")
     burn_steps = int(round(burn_in * n_steps))
-    if burn_in < 0 or burn_steps >= n_steps:
+    if burn_steps >= n_steps:
         raise ConfigError(f"tails.burn_in = {burn_in} leaves none of the "
                           f"{n_steps} integrator steps to sample")
     kept = range(burn_steps + 1, n_steps + 1, thin)
     count = n * len(kept)   # energies pooled below
     top = cfg["tails.top_fraction"]
+    if not 0 < top < 1:
+        raise ConfigError(f"tails.top_fraction = {top} is not in (0, 1)")
     n_tail = int(count * top)
     if not sim.HILL_MIN_TAIL <= n_tail < count:
         raise ConfigError(f"tails.top_fraction = {top} keeps {n_tail} of the "
@@ -194,6 +199,9 @@ def cmd_convergence(args) -> int:
     except ValueError as e:
         raise ConfigError(f"convergence.burn_in = {burn}: {e}")
     binning = cfg["convergence.binning"]
+    if binning < 1:
+        raise ConfigError(f"convergence.binning = {binning} is not a positive "
+                          "number of bins")
     n_times = cfg["convergence.n_times"]
     n_steps = sim.steps_in(icfg.t_end, icfg.dt)
     if not 1 <= n_times <= n_steps:
@@ -271,6 +279,9 @@ def cmd_reduced(args) -> int:
     if mode not in ("density", "simulate", "classify", "all"):
         raise ConfigError(f"reduced.mode = {mode!r} is not one of density, "
                           "simulate, classify, all")
+    for key in ("reduced.n_paths", "reduced.n_grid"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} = {cfg[key]} is not a positive size")
     report = {"eta": rp.eta, "sigma": rp.sigma}
     if mode in ("classify", "all"):
         report["rate_row"] = asdict(rd.classify_reduced(rp))

@@ -1,6 +1,6 @@
-"""Small-stiffness (k <= 1) machinery: drift matrices in reduced coordinates,
-the exponentially weighted Gram form S, and the bounded force surrogate used
-when the pinning force itself is bounded.
+"""Small-stiffness (k <= 1) machinery: the 3x3 drift matrix in reduced
+coordinates, the exponentially weighted Gram form S, and the bounded force
+surrogate used when the pinning force itself is bounded.
 """
 
 from __future__ import annotations
@@ -13,27 +13,12 @@ from scipy.linalg import solve_continuous_lyapunov
 from .model import ModelParams, quintic_bridge, v1_prime, v1_second
 
 
-@dataclass(frozen=True)
-class DriftMatrices:
-    """Linear drift in y = (q, p0, p1) with q = (q0 - q1)/2, plus the 4-D
-    variant in (q0, q1, p0, p1) used at k = 1 where the pinning force is
-    itself asymptotically linear."""
-
-    A: np.ndarray
-    A_tilde: np.ndarray
-
-
-def build_matrices(params: ModelParams) -> DriftMatrices:
+def build_matrices(params: ModelParams) -> np.ndarray:
+    """Linear drift A in y = (q, p0, p1) with q = (q0 - q1)/2."""
     a, g = params.alpha, params.gamma
-    A = np.array([[0.0, 0.5, -0.5],
-                  [-2 * a, -g, 0.0],
-                  [2 * a, 0.0, 0.0]])
-    # at k = 1 the unit pinning slope joins the coupling in the linear part
-    A_t = np.array([[0.0, 0.0, 1.0, 0.0],
-                    [0.0, 0.0, 0.0, 1.0],
-                    [-(a + 1.0), a, -g, 0.0],
-                    [a, -(a + 1.0), 0.0, 0.0]])
-    return DriftMatrices(A=A, A_tilde=A_t)
+    return np.array([[0.0, 0.5, -0.5],
+                     [-2 * a, -g, 0.0],
+                     [2 * a, 0.0, 0.0]])
 
 
 def spectral_abscissa(M: np.ndarray) -> float:

@@ -48,17 +48,6 @@ def jet_free_energy(P: Jet2, Q: Jet2, k: float) -> Jet2:
     return 0.5 * (P * P) + pot
 
 
-def jet_gram(form: GramForm, comps: Sequence[Jet2]) -> Jet2:
-    """<y, S y> for jet components y."""
-    S = form.S
-    n = len(comps)
-    out = jet_const(0.0)
-    for i in range(n):
-        for j in range(n):
-            out = out + S[i, j] * (comps[i] * comps[j])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # drift forms: how L acts on a built test function
 
@@ -187,16 +176,15 @@ class SumExpForm:
 # the tables a family reads
 
 def build_tables(params: ModelParams, names: Sequence[str], *,
-                 eps: Optional[float] = None, variant: float = 0.0) -> dict:
+                 eps: Optional[float] = None) -> dict:
     """The tables in `names`, by name: the orbit solutions "phi", "psi",
     "xi" and "xi_tilde" (each built by osc.build_<name>), the Gram form
-    "gram" (of the 4-D drift matrix when variant == 4) and the force
-    surrogate "g_eps" of slope bound eps."""
+    "gram" of the drift matrix and the force surrogate "g_eps" of slope
+    bound eps."""
     tables = {}
     for name in names:
         if name == "gram":
-            m = build_matrices(params)
-            A = m.A_tilde if variant == 4 else m.A
+            A = build_matrices(params)
             tables[name] = build_gram(A, default_gamma_tilde(A))
         elif name == "g_eps":
             tables[name] = g_eps_profile(eps, params.k)
@@ -235,8 +223,13 @@ def _jet_veff_prime(x, params) -> Jet2:
 
 def _jet_ysy(x, gram: GramForm) -> Jet2:
     """<y, S y> with the fast coordinates y = ((q0 - q1)/2, p0, p1)."""
-    q = 0.5 * (jet_coord("q0", x) - jet_coord("q1", x))
-    return jet_gram(gram, [q, jet_coord("p0", x), jet_coord("p1", x)])
+    y = [0.5 * (jet_coord("q0", x) - jet_coord("q1", x)),
+         jet_coord("p0", x), jet_coord("p1", x)]
+    out = jet_const(0.0)
+    for i in range(3):
+        for j in range(3):
+            out = out + gram.S[i, j] * (y[i] * y[j])
+    return out
 
 
 def _jet_qhat(x, params) -> Jet2:
@@ -247,16 +240,12 @@ def _jet_qhat(x, params) -> Jet2:
         + (1.0 / params.gamma) * (jet_coord("p0", x) + jet_coord("p1", x))
 
 
-def _jet_tilde_h0(x, params, pt, theta) -> Jet2:
-    q0 = jet_coord("q0", x)
-    return 0.5 * (pt * pt) + _jet_veff(x, params) + theta * (pt * q0)
-
-
 def _jet_h0_cutoff(x, params, sj, theta, plateau) -> Jet2:
     a, g = params.alpha, params.gamma
     pt = _jet_ptilde(x, params, sj)
-    h0 = _jet_tilde_h0(x, params, pt, theta)
-    hf0 = jet_free_energy(pt, jet_coord("q0", x), params.k)
+    q0 = jet_coord("q0", x)
+    h0 = 0.5 * (pt * pt) + _jet_veff(x, params) + theta * (pt * q0)
+    hf0 = jet_free_energy(pt, q0, params.k)
     psi_e = jet_cutoff((1.0 / plateau) * hf0)
     f_theta = a * (g - theta) * pt + a * _jet_veff_prime(x, params)
     corr = (a * a * (g - theta)) * sj["xi"] + f_theta * sj["psi"]
@@ -296,24 +285,6 @@ def _power(c, a):
 # family's parameters.  Plain (polynomial-scale) families return PlainForm;
 # exponential families return ExpForm/SumExpForm and are meant to be checked
 # on the log scale.
-
-def tilde_h0(params: ModelParams, *, theta=0.05) -> PlainForm:
-    """Corrected damped energy."""
-    tables = build_tables(params, ("phi",))
-    return PlainForm(
-        lambda x, p: _jet_tilde_h0(x, p, _jet_ptilde(x, p, _orbit_jets(
-            x, tables)), theta),
-        name=f"tildeH0(theta={theta})", shell_phi=tables["phi"],
-        parameters={"theta": theta})
-
-
-def h0_cutoff(params: ModelParams, *, theta=0.05, E=50.0) -> PlainForm:
-    tables = build_tables(params, _CORRECTED)
-    return PlainForm(
-        lambda x, p: _jet_h0_cutoff(x, p, _orbit_jets(x, tables), theta, E),
-        name=f"H0_cutoff(theta={theta}, E={E})", shell_phi=tables["phi"],
-        parameters={"theta": theta, "E": E})
-
 
 def v_k2(params: ModelParams, *, theta=-0.05, c=0.9, E=50.0) -> PlainForm:
     if not 0 < c < 1:
@@ -389,11 +360,6 @@ def energy(params: ModelParams) -> PlainForm:
     return PlainForm(lambda x, p: jet_const(0.0), name="H", h_coeff=1.0)
 
 
-def exp_h(params: ModelParams, *, beta=1.0) -> ExpForm:
-    return ExpForm(energy(params), *_linear(beta), name=f"exp({beta}*H)",
-                   parameters={"beta": beta})
-
-
 def hat_h_smallk(params: ModelParams, *, xi=8.0, beta0=0.02, delta=1.0,
                  w=1.0, eps=0.05) -> ExpForm:
     """exp(beta0 hatH^delta) of the Gram energy (weight w rescales its unit
@@ -433,20 +399,6 @@ def w_smallk(params: ModelParams, *, beta0=0.05, lam=1.0) -> SumExpForm:
                  "exp(b0*lam*V1(Qhat))")
     return SumExpForm([ea, eb], name=f"W_smallk(beta0={beta0}, lambda={lam})",
                       parameters={"beta0": beta0, "lambda": lam})
-
-
-def s_form(params: ModelParams, *, variant=0.0) -> PlainForm:
-    """The Gram form <y, S y>; variant 4 is the 4-D form in (q0, q1, p0, p1)
-    of the k = 1 drift matrix."""
-    gram = build_tables(params, ("gram",), variant=variant)["gram"]
-    parameters = {"variant": variant}
-    if variant == 4:
-        def jet4(x, p):
-            comps = [jet_coord(n, x) for n in ("q0", "q1", "p0", "p1")]
-            return jet_gram(gram, comps)
-        return PlainForm(jet4, name="yS4y", parameters=parameters)
-    return PlainForm(lambda x, p: _jet_ysy(x, gram), name="ySy",
-                     parameters=parameters)
 
 
 # ---------------------------------------------------------------------------

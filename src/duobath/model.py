@@ -46,6 +46,9 @@ class ModelParams:
     smoothing: str = PURE_POWER
 
     def __post_init__(self):
+        for name in ("alpha", "gamma", "t_cold", "t_hot", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("alpha", "gamma", "t_cold", "t_hot"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")

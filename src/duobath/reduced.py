@@ -301,6 +301,8 @@ def classify_full(k: float, params: ModelParams, c_hat: float) -> RateRow:
     The single excluded point k = 2, t_hot = alpha^2 c_hat returns an
     'undetermined' row (conjectured non-existence, not encoded).
     """
+    if math.isnan(k):
+        raise ValueError("k is NaN")
     none = Family("none")
     if k <= 0:
         return RateRow("k<=0", none, none, none)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +113,25 @@ class TestExitCodes:
         code, _ = run(tmp_path, "constants", "nope.key = 2\n")
         assert code == 1
 
-    def test_invalid_model_is_exit_1(self, tmp_path):
-        code, _ = run(tmp_path, "constants", "model.alpha = -1.0\n")
+    @pytest.mark.parametrize("command, cfg, prefix", [
+        ("constants", "model.alpha = -1.0",
+         "configuration error: alpha must be strictly positive"),
+        ("constants", "model.k = nan", "configuration error: k must be finite"),
+        ("constants", "model.k = inf", "configuration error: k must be finite"),
+        ("phase-diagram", "grid.k_values = nan", "error: k is NaN"),
+        ("simulate", "model.k = nan", "configuration error: k must be finite"),
+        ("simulate", "model.alpha = inf",
+         "configuration error: alpha must be finite"),
+    ])
+    def test_invalid_model_is_exit_1(self, tmp_path, capsys, monkeypatch,
+                                     command, cfg, prefix):
+        def ran(*args, **kwargs):
+            raise AssertionError("the ensemble was run")
+        monkeypatch.setattr(sim, "run_paths", ran)
+        code, out = run(tmp_path, command, cfg + "\n")
         assert code == 1
+        assert capsys.readouterr().err.startswith(prefix)
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_sabotaged_verify_is_exit_2(self, tmp_path, capsys):
         code, out = run(tmp_path, "verify", "verify.n = 2000\n",
@@ -180,18 +197,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
-    @pytest.mark.parametrize("thin", [0, -2])
-    def test_thin_stride_below_1_is_a_configuration_error(self, tmp_path,
-                                                          capsys, thin):
-        code, out = run(tmp_path, "tails", "integrator.t_end = 0.1\n"
-                        f"ensemble.n_paths = 8\ntails.thin_stride = {thin}\n")
+    @pytest.mark.parametrize("command, key_value", [
+        ("tails", "tails.thin_stride = 0"),
+        ("tails", "tails.thin_stride = -2"),
+        ("convergence", "convergence.binning = 0"),
+        ("convergence", "convergence.binning = -3"),
+        ("reduced", "reduced.n_paths = 0"),
+        ("reduced", "reduced.n_grid = 0"),
+    ])
+    def test_size_below_1_is_a_configuration_error(
+            self, tmp_path, capsys, monkeypatch, command, key_value):
+        def ran(*args, **kwargs):
+            raise AssertionError("the ensemble was run")
+        monkeypatch.setattr(sim, "run_paths", ran)
+        monkeypatch.setattr(rd, "run_reduced", ran)
+        code, out = run(tmp_path, command, key_value + "\n")
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("configuration error:")
-        assert f"tails.thin_stride = {thin} " in err
+        assert err.startswith(f"configuration error: {key_value} ")
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
-    @pytest.mark.parametrize("burn_in", [1.0, 0.9999, -0.1])
+    @pytest.mark.parametrize("burn_in",
+                             [1.0, 0.9999, -0.1, math.inf, math.nan])
     def test_burn_in_leaving_no_step_is_a_configuration_error(
             self, tmp_path, capsys, burn_in):
         code, out = run(tmp_path, "tails", "integrator.t_end = 0.1\n"
@@ -202,11 +229,12 @@ class TestExitCodes:
         assert f"tails.burn_in = {burn_in} " in err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
-    @pytest.mark.parametrize("top", [0.001, 1.0])
+    @pytest.mark.parametrize("top", [0.001, 1.0, math.nan])
     def test_tail_size_is_checked_before_the_first_step(
             self, tmp_path, capsys, monkeypatch, top):
         # at the defaults 512 x 200 energies are pooled: 0.001 keeps 102 of
-        # them, 1.0 all of them, and neither leaves a Hill estimate
+        # them, 1.0 all of them, NaN no fraction of them, and none of the
+        # three leaves a Hill estimate
         def run_paths(*args, **kwargs):
             raise AssertionError("the ensemble was run")
         monkeypatch.setattr(sim, "run_paths", run_paths)

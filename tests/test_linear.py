@@ -17,18 +17,17 @@ class TestDriftMatrices:
         rng = np.random.default_rng(1)
         for _ in range(100):
             a, g = rng.uniform(0.1, 5.0, 2)
-            m = ln.build_matrices(params(alpha=a, gamma=g))
-            assert abs(np.linalg.det(m.A) + g * a) < 1e-12 * max(1.0, g * a)
-            assert ln.spectral_abscissa(m.A) < 0
-            assert ln.spectral_abscissa(m.A_tilde) < 0
+            A = ln.build_matrices(params(alpha=a, gamma=g))
+            assert abs(np.linalg.det(A) + g * a) < 1e-12 * max(1.0, g * a)
+            assert ln.spectral_abscissa(A) < 0
 
     def test_eigenvalues_against_companion_oracle(self):
         # characteristic polynomial l^3 + g l^2 + 2a l + g a,
         # realized independently as a companion matrix
         a = g = 1.0
-        m = ln.build_matrices(params(alpha=a, gamma=g))
+        A = ln.build_matrices(params(alpha=a, gamma=g))
         comp = np.array([[0, 1, 0], [0, 0, 1], [-g * a, -2 * a, -g]])
-        got = np.sort_complex(np.linalg.eigvals(m.A))
+        got = np.sort_complex(np.linalg.eigvals(A))
         want = np.sort_complex(np.linalg.eigvals(comp))
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -36,12 +35,12 @@ class TestDriftMatrices:
         # dy = A y + force terms: check the linear part against the model
         # drift at a state with V1' frozen out (q0 = q1 = 0)
         p = params(alpha=1.3, gamma=0.7)
-        m = ln.build_matrices(p)
+        A = ln.build_matrices(p)
         from duobath.model import drift_and_noise
         st = State4(q0=0.2, q1=-0.2, p0=0.4, p1=-0.1)
         d, _ = drift_and_noise(st, p)
         y = np.array([0.5 * (st.q0 - st.q1), st.p0, st.p1])
-        ay = m.A @ y
+        ay = A @ y
         # remove the pinning force (k=1 pure power: V1' = q)
         assert ay[0] == pytest.approx(0.5 * (d[0] - d[1]))
         assert ay[1] == pytest.approx(d[2] + st.q0)
@@ -54,22 +53,22 @@ class TestGramForm:
         assert np.allclose(g.S, np.eye(3))
 
     def test_residual_and_scipy_cross_check(self):
-        m = ln.build_matrices(params())
-        gt = ln.default_gamma_tilde(m.A)
-        gram = ln.build_gram(m.A, gt)
-        res = m.A.T @ gram.S + gram.S @ m.A + gt * gram.S + np.eye(3)
+        A = ln.build_matrices(params())
+        gt = ln.default_gamma_tilde(A)
+        gram = ln.build_gram(A, gt)
+        res = A.T @ gram.S + gram.S @ A + gt * gram.S + np.eye(3)
         assert np.max(np.abs(res)) < 1e-10
         s_ref = sla.solve_continuous_lyapunov(
-            (m.A + gt / 2 * np.eye(3)).T, -np.eye(3))
+            (A + gt / 2 * np.eye(3)).T, -np.eye(3))
         assert np.max(np.abs(s_ref - gram.S)) < 1e-9
 
     def test_contraction_inequality(self):
-        m = ln.build_matrices(params())
-        gt = ln.default_gamma_tilde(m.A)
-        gram = ln.build_gram(m.A, gt)
+        A = ln.build_matrices(params())
+        gt = ln.default_gamma_tilde(A)
+        gram = ln.build_gram(A, gt)
         rng = np.random.default_rng(2)
         for t in (0.1, 1.0, 10.0):
-            phi = sla.expm(m.A * t)
+            phi = sla.expm(A * t)
             for _ in range(100):
                 y = rng.normal(size=3)
                 z = phi @ y
@@ -77,19 +76,19 @@ class TestGramForm:
                     <= np.exp(-gt * t) * (y @ gram.S @ y) * (1 + 1e-10)
 
     def test_divergent_rate_rejected(self):
-        m = ln.build_matrices(params())
+        A = ln.build_matrices(params())
         with pytest.raises(ValueError):
-            ln.build_gram(m.A, 10.0)
+            ln.build_gram(A, 10.0)
 
     def test_deterministic_flow_decays_in_gram_norm(self):
-        m = ln.build_matrices(params(alpha=2.0, gamma=1.5))
-        gt = ln.default_gamma_tilde(m.A)
-        gram = ln.build_gram(m.A, gt)
+        A = ln.build_matrices(params(alpha=2.0, gamma=1.5))
+        gt = ln.default_gamma_tilde(A)
+        gram = ln.build_gram(A, gt)
         rng = np.random.default_rng(3)
         ts = np.linspace(0.0, 5.0, 41)
         for _ in range(100):
             y0 = rng.normal(size=3)
-            ys = [sla.expm(m.A * t) @ y0 for t in ts]
+            ys = [sla.expm(A * t) @ y0 for t in ts]
             vals = [y @ gram.S @ y for y in ys]
             assert np.all(np.diff(vals) < 0)
 
@@ -112,7 +111,7 @@ class TestCorrector:
     def test_poisson_property_frozen_potential(self):
         # L_Q applied to -<a, y> equals <1, y>/2 - psi(Q), both sides exact
         p = params(alpha=1.7, gamma=2.3)
-        m = ln.build_matrices(p)
+        A = ln.build_matrices(p)
         rng = np.random.default_rng(4)
         for _ in range(50):
             y = rng.normal(size=3)
@@ -124,7 +123,7 @@ class TestCorrector:
             v1p = v1_prime(Q, p)
             one = np.array([0.0, 1.0, 1.0])
             # L_Q phi = <A y + v1'(Q) * (-one... drift of y at frozen Q>, grad phi>
-            drift_y = m.A @ y - v1p * one
+            drift_y = A @ y - v1p * one
             lhs = drift_y @ (-a)
             rhs = (y[1] + y[2]) / 2 - (-(2 / p.gamma) * v1p)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

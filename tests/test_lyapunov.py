@@ -14,9 +14,10 @@ import pytest
 from duobath import lyapunov as ly
 from duobath import oscillator as osc
 from duobath import simulate as sim
+from duobath.linear import build_gram, default_gamma_tilde
 from duobath.model import (ModelParams, State4, hamiltonian, drift_and_noise,
-                           generator_of_jet, jet_coord, jet_hamiltonian,
-                           quintic_bridge)
+                           generator_of_jet, jet_const, jet_coord,
+                           jet_hamiltonian, quintic_bridge)
 from duobath.presets import PRESET_NAMES, get_preset, run_preset
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
@@ -28,8 +29,6 @@ P04 = ModelParams(alpha=2, gamma=2, t_cold=1, t_hot=1, k=0.4,
 
 # family -> (its builder, a model it supports, keywords unlike its defaults)
 BUILDERS = {
-    "tildeH0": (ly.tilde_h0, P2, {"theta": 0.1}),
-    "H0_cutoff": (ly.h0_cutoff, P2, {"theta": 0.1, "E": 20.0}),
     "V_k2": (ly.v_k2, P2, {"theta": -0.08, "c": 0.8, "E": 20.0}),
     "V_klt2": (ly.v_klt2, P15, {"theta": 0.1, "eta_cutoff": 1.0}),
     "W_tail": (ly.w_tail, P2, {"theta": -0.08, "c": 0.8, "E": 20.0,
@@ -38,13 +37,39 @@ BUILDERS = {
                                          "zeta": 0.05, "delta": 0.15}),
     "W_exp_frac": (ly.w_exp_frac, P15, {"theta": 0.1, "eta_cutoff": 1.0,
                                         "kappa": 0.3, "delta": 0.02}),
-    "expH": (ly.exp_h, P2, {"beta": 0.3}),
     "hatH_smallk": (ly.hat_h_smallk, P075, {"xi": 2.0, "beta0": 1e-3,
                                             "delta": 0.5, "w": 0.05,
                                             "eps": 0.01}),
     "W_smallk": (ly.w_smallk, P04, {"beta0": 1e-3, "lam": 2.0}),
-    "S_form": (ly.s_form, P075, {"variant": 4}),
 }
+
+
+def _exp_energy(params, beta):
+    """exp(beta H), checked on the log scale."""
+    return ly.ExpForm(ly.energy(params), *ly._linear(beta),
+                      name=f"exp({beta}*H)")
+
+
+def _gram4_form(p):
+    """<x, S x> in x = (q0, q1, p0, p1), S the Gram form of the 4-D linear
+    drift at k = 1, where the unit pinning slope joins the coupling; returns
+    the form and S's GramForm."""
+    a, g = p.alpha, p.gamma
+    A = np.array([[0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0],
+                  [-(a + 1.0), a, -g, 0.0],
+                  [a, -(a + 1.0), 0.0, 0.0]])
+    gram = build_gram(A, default_gamma_tilde(A))
+
+    def jet_fn(x, params):
+        comps = [jet_coord(n, x) for n in ("q0", "q1", "p0", "p1")]
+        out = jet_const(0.0)
+        for i in range(4):
+            for j in range(4):
+                out = out + gram.S[i, j] * (comps[i] * comps[j])
+        return out
+
+    return ly.PlainForm(jet_fn, name="yS4y"), gram
 
 
 def _reported(keywords):
@@ -128,8 +153,6 @@ class TestBuiltFields:
     def test_jets_vs_fd_all_k2_families(self):
         states = _moderate_states(100, 1)
         for family, pars in (
-                (ly.tilde_h0, {"theta": 0.05}),
-                (ly.h0_cutoff, {"theta": 0.05, "E": 20.0}),
                 (ly.v_k2, {"theta": -0.08, "c": 0.9, "E": 20.0}),
                 (ly.w1_nonexist, {"theta": 0.08, "delta": 0.15, "zeta": 0.05,
                                   "E": 20.0}),
@@ -190,29 +213,27 @@ class TestBuiltFields:
         # family at 100 random moderate-energy states (relative 1e-4)
         rng = np.random.default_rng(12)
         smallk_states = State4(*(rng.normal(0, 3, 100) for _ in range(4)))
+        gram = ly.build_tables(P075, ("gram",))["gram"]
+        p1 = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=1.0)
         cases = [
-            (ly.tilde_h0, {"theta": 0.05}, P2, _moderate_states(100, 4)),
-            (ly.h0_cutoff, {"theta": 0.05, "E": 20.0}, P2,
-             _moderate_states(100, 5)),
-            (ly.v_k2, {"theta": -0.08, "c": 0.9, "E": 20.0}, P2,
+            (ly.v_k2(P2, theta=-0.08, c=0.9, E=20.0), P2,
              _moderate_states(100, 6)),
-            (ly.w1_nonexist, {"theta": 0.08, "delta": 0.15, "zeta": 0.05,
-                              "E": 20.0}, P2, _moderate_states(100, 7)),
-            (ly.v_klt2, {"theta": 0.1, "eta_cutoff": 1.0}, P15,
+            (ly.w1_nonexist(P2, theta=0.08, delta=0.15, zeta=0.05, E=20.0),
+             P2, _moderate_states(100, 7)),
+            (ly.v_klt2(P15, theta=0.1, eta_cutoff=1.0), P15,
              _moderate_states(100, 8)),
-            (ly.w_exp_frac, {"theta": 0.1, "eta_cutoff": 1.0, "delta": 0.02},
+            (ly.w_exp_frac(P15, theta=0.1, eta_cutoff=1.0, delta=0.02),
              P15, _moderate_states(100, 9, e1_range=(5.0, 30.0))),
-            (ly.exp_h, {"beta": 0.3}, P2, _moderate_states(
+            (_exp_energy(P2, 0.3), P2, _moderate_states(
                 100, 10, e1_range=(1.0, 4.0))),
-            (ly.hat_h_smallk, {"xi": 2.0, "eps": 0.01, "beta0": 1e-3,
-                               "delta": 1.0, "w": 0.05}, P075, smallk_states),
-            (ly.w_smallk, {"beta0": 1e-3, "lam": 1.0}, P04, smallk_states),
-            (ly.s_form, {}, P075, smallk_states),
-            (ly.s_form, {"variant": 4}, ModelParams(
-                alpha=1, gamma=1, t_cold=1, t_hot=1, k=1.0), smallk_states),
+            (ly.hat_h_smallk(P075, xi=2.0, eps=0.01, beta0=1e-3, delta=1.0,
+                             w=0.05), P075, smallk_states),
+            (ly.w_smallk(P04, beta0=1e-3, lam=1.0), P04, smallk_states),
+            (ly.PlainForm(lambda x, p: ly._jet_ysy(x, gram), "ySy"), P075,
+             smallk_states),
+            (_gram4_form(p1)[0], p1, smallk_states),
         ]
-        for family, pars, pp, states in cases:
-            form = family(pp, **pars)
+        for form, pp, states in cases:
             s = form.evaluate(states, pp)
             # Richardson-extrapolated second-order stencils keep the FD
             # truncation below the asserted tolerance for the exp families
@@ -224,7 +245,7 @@ class TestBuiltFields:
             else:
                 got = s.drift
             err = np.max(np.abs(got - lf_fd) / (1 + np.abs(got)))
-            assert err < 1e-4, (family.__name__, err)
+            assert err < 1e-4, (form.name, err)
 
     def test_v_k2_coercive_lower_bound(self):
         # V >= (1-c)/2 * H outside a ball, on shell samples
@@ -248,7 +269,7 @@ class TestBuiltFields:
         with pytest.raises(ValueError, match="eps must be positive"):
             ly.hat_h_smallk(P075, eps=0.0)
         with pytest.raises(ValueError, match="1 < k <= 2"):
-            ly.tilde_h0(replace(P2, k=1.0))
+            ly.v_k2(replace(P2, k=1.0))
 
     @pytest.mark.parametrize("name", BUILDERS)
     def test_unknown_keyword_is_a_type_error(self, name):
@@ -476,7 +497,7 @@ class TestVerify:
     def test_exp_energy_positive_drift(self):
         # W = exp(H/T): L W >= 0 everywhere (not just outside a ball), so
         # uncorrected shells do
-        form = ly.exp_h(P2, beta=1.0 / P2.t_cold)
+        form = _exp_energy(P2, 1.0 / P2.t_cold)
         nonneg = ly.Predicate("L W / W >= 0", lambda d, a, s, p: d)
         rep = ly.verify_sign(form, nonneg, ly.ShellSpec(r0=50.0), 1000, 2, P2)
         assert rep.final_verdict and rep.stabilized
@@ -500,7 +521,7 @@ class TestVerify:
 class TestWonham:
     def test_exp_forms_are_rejected(self):
         with pytest.raises(ValueError, match="plain forms only"):
-            ly.wonham_report(ly.exp_h(P2, beta=1.0), P2,
+            ly.wonham_report(_exp_energy(P2, 1.0), P2,
                              ly.ShellSpec(r0=50.0), n=2000, seed=3)
 
     def test_non_finite_drift_raises(self):
@@ -605,14 +626,9 @@ class TestSmallKRegimes:
         # at k = 1 the 4-D Gram form satisfies L hatH <= -C1 hatH with
         # Gamma(hatH, hatH) <= C2 hatH outside a stabilized radius
         p = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=1.0, k=1.0)
-        from duobath.linear import build_matrices, build_gram, \
-            default_gamma_tilde
         from duobath.model import carre_of_jets
-        A = build_matrices(p).A_tilde
-        gt = default_gamma_tilde(A)
-        form = ly.s_form(p, variant=4)
-        c1 = gt / 2
-        gram4 = build_gram(A, gt)
+        form, gram4 = _gram4_form(p)
+        c1 = gram4.gamma_tilde / 2
         lam = np.linalg.eigvalsh(gram4.S)
         c2 = 10.0 * p.gamma * (p.t_cold + p.t_hot) * lam.max() / lam.min()
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,9 +23,16 @@ def random_states(n, seed=0, scale=2.0):
 class TestParams:
     def test_positivity_enforced(self):
         for field in ("alpha", "gamma", "t_cold", "t_hot"):
-            with pytest.raises(ValueError):
-                ModelParams(**{**dict(alpha=1, gamma=1, t_cold=1, t_hot=1,
-                                      k=2.0), field: 0.0})
+            for bad in (0.0, math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    ModelParams(**{**dict(alpha=1, gamma=1, t_cold=1, t_hot=1,
+                                          k=2.0), field: bad})
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="k must be finite"):
+                ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=bad)
+        # negative k stays legal: classify_full sorts it into "k<=0"
+        ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=-1.0,
+                    smoothing="regularized")
 
     def test_pure_power_rejected_below_k1(self):
         with pytest.raises(ValueError):

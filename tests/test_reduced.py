@@ -284,6 +284,10 @@ class TestClassifiers:
         assert r1.speed.kind == "exp-decay"
         assert r1.prefactor.kind == "power"   # H^eps prefactor row
 
+    def test_nan_k_has_no_row(self):
+        with pytest.raises(ValueError, match="k is NaN"):
+            rd.classify_full(float("nan"), params(), CH)
+
     def test_critical_cell_undetermined(self):
         r = rd.classify_full(2.0, params(t_hot=CH), CH)
         assert r.regime_id == "k=2-critical"
