@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -202,6 +203,10 @@ def cmd_convergence(args) -> int:
     if binning < 1:
         raise ConfigError(f"convergence.binning = {binning} is not a positive "
                           "number of bins")
+    floor_factor = cfg["convergence.noise_floor_factor"]
+    if not 0 <= floor_factor < math.inf:
+        raise ConfigError(f"convergence.noise_floor_factor = {floor_factor} "
+                          "is not a finite factor >= 0")
     n_times = cfg["convergence.n_times"]
     n_steps = sim.steps_in(icfg.t_end, icfg.dt)
     if not 1 <= n_times <= n_steps:
@@ -227,7 +232,7 @@ def cmd_convergence(args) -> int:
     _write_csv(out / "tv_series.csv", ["t", "tv_proxy"],
                list(zip(ts, tvs)))
     ts, tvs = np.asarray(ts), np.asarray(tvs)
-    usable = tvs > cfg["convergence.noise_floor_factor"] * floor
+    usable = tvs > floor_factor * floor
     report = {"noise_floor": floor, "n_usable": int(usable.sum())}
     if usable.sum() >= 10:
         fit = sim.fit_decay(ts[usable], tvs[usable])
@@ -282,13 +287,17 @@ def cmd_reduced(args) -> int:
     for key in ("reduced.n_paths", "reduced.n_grid"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} = {cfg[key]} is not a positive size")
+    x_max = cfg["reduced.x_max"]
+    if not 1 < x_max < math.inf:    # the density grid runs from 1 to x_max
+        raise ConfigError(f"reduced.x_max = {x_max} is not a finite number "
+                          "above 1")
     report = {"eta": rp.eta, "sigma": rp.sigma}
     if mode in ("classify", "all"):
         report["rate_row"] = asdict(rd.classify_reduced(rp))
     if mode in ("density", "all"):
         try:
             dens = rd.stationary_density(rp)
-            xs = np.geomspace(1.0, cfg["reduced.x_max"], cfg["reduced.n_grid"])
+            xs = np.geomspace(1.0, x_max, cfg["reduced.n_grid"])
             _write_csv(out / "density.csv", ["x", "value"],
                        list(zip(xs, dens.pdf(xs))))
             report["normalization"] = dens.normalization

@@ -32,14 +32,17 @@ class ReducedParams:
 
     eta is normally positive; the k > 2 reduction legitimately produces a
     negative eta on the sigma = -1 branch (outward drift, transient), so only
-    eta != 0 is enforced here and positivity is checked by the operations
-    that require it.
+    finite eta != 0 and finite sigma are enforced here and positivity is
+    checked by the operations that require it.
     """
 
     eta: float
     sigma: float
 
     def __post_init__(self):
+        for name in ("eta", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.eta == 0:
             raise ValueError("eta must be nonzero")
 
@@ -136,6 +139,11 @@ def stationary_density(rp: ReducedParams) -> StationaryDensity:
 # ---------------------------------------------------------------------------
 # simulation
 
+def _words(step: int) -> Tuple[int, int]:
+    """Counter words of the surrogate's block of step."""
+    return 0, step
+
+
 def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
                 seed: int) -> Iterator[Tuple[int, np.ndarray]]:
     """Euler-Maruyama from X = 1 with per-step mirror reflection at X = 1,
@@ -145,9 +153,11 @@ def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
     simulate.run_paths; each X is a fresh array.  Noise comes from the
     chain's NoiseStream, one block per step at counter words (0, step), so a
     path's column is deterministic under the (seed, path index) contract.
-    The next step's block is drawn on NoiseStream's helper thread while this
-    one computes, with the same bits, unless it has fewer than
-    simulate.PREFETCH_MIN_DRAWS draws; the helper ends with the run.
+    The blocks of the next simulate.PREFETCH_DEPTH steps are queued on
+    NoiseStream's helper thread while this one computes, and drawn there or,
+    when this thread would otherwise wait, here, with the same bits, unless
+    they have fewer than simulate.PREFETCH_MIN_DRAWS draws; the helper ends
+    with the run.
     Raises IntegrationError at the first step that leaves a path non-finite.
     """
     x = np.ones(n_paths)
@@ -156,9 +166,8 @@ def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
     try:
         yield 0, x
         for step in range(n_steps):
-            if step + 1 < n_steps:
-                noise.prefetch(0, step + 1, n_paths)
-            xi = noise.block(0, step, n_paths)
+            noise.prefetch(_words, range(step + 1, n_steps), n_paths)
+            xi = noise.block(*_words(step), n_paths)
             x = x - rp.eta * x ** rp.sigma * dt + sq * xi
             x = np.maximum(x, 2.0 - x)      # mirror at 1, NaN passes through
             check_finite((step + 1) * dt, x)

@@ -9,8 +9,9 @@ n_paths and on which other paths share its level: the same path in a larger
 ensemble follows a different trajectory.
 
 Step kernel: one Strang step per path and (sub)step, with the forces at the
-end of a substep reused for the first half-kick of the next one, and the
-momentum and position updates done in place on fresh output arrays.  When
+end of a substep reused for the first half-kick of the next one (run_paths
+hands each step's end-of-step forces to the next step), and the momentum
+and position updates done in place on fresh output arrays.  When
 no path needs halving the whole ensemble is stepped at once.  Otherwise a
 non-finite force is an IntegrationError before any substep, and the step
 runs as 2**top ticks of the finest substep, top being the deepest halving
@@ -23,17 +24,21 @@ reseats a single Philox generator per noise block, and the surrogate
 (reduced.run_reduced) draws from it too.
 
 Lookahead: a block is keyed on its counter words alone, so it can be drawn
-before it is needed, with the same bits.  run_paths and run_reduced hand the
-next step's level-0 block to one helper thread while the current step
-computes; blocks of fewer than PREFETCH_MIN_DRAWS draws are drawn on the
-caller's thread, and the thread ends with the run.
+before it is needed, with the same bits, by either of two threads.  run_paths
+and run_reduced keep the level-0 blocks of the next PREFETCH_DEPTH steps
+queued on one helper thread while the current step computes.  When a step
+asks for a block the helper is still drawing, the caller draws a later
+queued block the helper has not started, then takes its own, so the draws
+share out between the two threads by themselves.  Every block is drawn
+once, by one thread or the other; blocks of fewer than PREFETCH_MIN_DRAWS
+draws are drawn on the caller's thread, and the helper ends with the run.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Tuple
 
@@ -92,6 +97,16 @@ class IntegratorConfig:
 # 512 paths of a stiff chain run) are left on the caller's thread.
 PREFETCH_MIN_DRAWS = 8192
 
+# Steps whose level-0 blocks are queued on the helper thread ahead of the
+# caller.  Measured in-process on the 2-vCPU VM above, with the caller taking
+# blocks over, 5 alternating rounds of 2000 steps, medians at depths 1, 2,
+# 3, 4 and 6: run_paths at 4096 paths (dt
+# 0.005, substep_cap 50) 0.99, 1.09, 1.25, 1.13 and 1.14e7 path-steps/s;
+# run_reduced at 20000 paths 4.1, 4.9, 5.0, 4.8 and 4.9e7.  At depth 3 the
+# caller drew 20-40% of the blocks itself.  Each queued block holds
+# 8 * size bytes (128 KB for 4096 chain paths).
+PREFETCH_DEPTH = 3
+
 
 class _Reseated:
     """One Philox generator reseated for each block: its counter is set to
@@ -140,17 +155,20 @@ class NoiseStream:
     the surrogate alike.
 
     Every block equals the first draws of a fresh
-    Philox(key, counter=[0, word1, word2, 0]), wherever it is drawn.
-    prefetch hands a block of at least PREFETCH_MIN_DRAWS draws to one
-    helper thread with its own generator, so it is drawn while the caller
-    computes; block returns its first draws, waiting for it if need be, when
-    asked for the same counter words and no more draws.  Every other request
-    is drawn on the caller's thread.  The thread starts at the first
-    prefetch, bound to the cores other than the one the caller is on, and
-    is joined by close.  The lookahead pays only while the helper gets a
-    core of its own; where the two threads take turns on one core (a
-    one-core process, or the caller's core shared with other work), the
-    hand-off adds to each step."""
+    Philox(key, counter=[0, word1, word2, 0]), whichever thread draws it.
+    prefetch queues the blocks of the next PREFETCH_DEPTH steps, of at least
+    PREFETCH_MIN_DRAWS draws each, on one helper thread with its own
+    generator, so they are drawn while the caller computes.  block returns
+    the first draws of a queued block when asked for the same counter words
+    and no more draws; if the helper is still drawing it, the caller first
+    draws the latest queued block the helper has not started (its future
+    cancelled, its draws kept for when it is asked for), so neither thread
+    idles while the other has blocks left.  Every other request is drawn on
+    the caller's thread.  The thread starts at the first block queued, bound
+    to the cores other than the one the caller is on, and is joined by
+    close.  The lookahead pays only while the helper gets a core of its own;
+    where the two threads take turns on one core (a one-core process, or the
+    caller's core shared with other work), the hand-off adds to each step."""
 
     def __init__(self, seed: int):
         self.key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
@@ -159,24 +177,31 @@ class NoiseStream:
         self._there = None              # and the generator only it draws from
         self._ahead = {}                # (word1, word2) -> (size, future)
 
-    def prefetch(self, word1: int, word2: int, size: int) -> None:
-        """Start drawing the block of size draws at (word1, word2) on the
-        helper thread; a no-op below PREFETCH_MIN_DRAWS.  Of the blocks
-        prefetched before and not yet asked for, the newest is kept (it is
-        the one the step about to run reads) and older ones are dropped."""
+    def prefetch(self, words: Callable[[int], Tuple[int, int]],
+                 steps: range, size: int) -> None:
+        """Queue on the helper thread the blocks of size draws at counter
+        words words(s) of the first PREFETCH_DEPTH steps s in steps, those
+        not queued already; a no-op below PREFETCH_MIN_DRAWS.  steps start
+        after the step about to run: of the queued blocks not among them,
+        the newest (that step's own) is kept and older ones, never asked
+        for, are dropped."""
         if size < PREFETCH_MIN_DRAWS:
             return
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, initializer=_bind, initargs=(_other_cores(),))
-            self._there = _Reseated(self.key)
-        while len(self._ahead) > 1:
-            self._ahead.pop(next(iter(self._ahead)))[1].cancel()
-        self._ahead[word1, word2] = size, self._pool.submit(
-            self._there.draw, word1, word2, size)
+        wanted = [words(s) for s in steps[:PREFETCH_DEPTH]]
+        for w in [w for w in self._ahead if w not in wanted][:-1]:
+            self._ahead.pop(w)[1].cancel()
+        for w in wanted:
+            if w not in self._ahead:
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=1, initializer=_bind,
+                        initargs=(_other_cores(),))
+                    self._there = _Reseated(self.key)
+                self._ahead[w] = size, self._pool.submit(self._there.draw,
+                                                         *w, size)
 
     def close(self) -> None:
-        """Drop the prefetched blocks and join the helper thread."""
+        """Drop the queued blocks and join the helper thread."""
         self._ahead.clear()
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
@@ -188,8 +213,19 @@ class NoiseStream:
         if ahead is not None:
             size = math.prod(np.atleast_1d(shape))
             if size <= ahead[0]:
+                if not ahead[1].done():
+                    self._take_over()
                 return ahead[1].result()[:size].reshape(shape)
         return self._here.draw(word1, word2, shape)
+
+    def _take_over(self) -> None:
+        """Draw here the latest queued block the helper has not started."""
+        for w, (size, later) in reversed(self._ahead.items()):
+            if later.cancel():
+                drawn = Future()
+                drawn.set_result(self._here.draw(*w, size))
+                self._ahead[w] = size, drawn
+                return
 
     def normals(self, step: int, group: int, sub: int, shape) -> np.ndarray:
         """The chain's block of (step, halving level, substep)."""
@@ -199,6 +235,11 @@ class NoiseStream:
 def _chain_words(step: int, level: int, sub: int) -> Tuple[int, int]:
     """Counter words of the chain's block of (step, halving level, sub)."""
     return sub, (step << 8) | (level & 0xFF)
+
+
+def _level_zero(step: int) -> Tuple[int, int]:
+    """Counter words of the chain's level-0 block of step (substep 0)."""
+    return _chain_words(step, 0, 0)
 
 
 def _coefficients(h, params):
@@ -251,8 +292,13 @@ def _halving_levels(f0, f1, cfg):
 
 
 def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
-                  params: ModelParams, noise: NoiseStream):
+                  params: ModelParams, noise: NoiseStream, f=None):
     """Advance every path by cfg.dt, locally halving dt where forces are stiff.
+
+    f is the forces (f0, f1) at (q0, q1), computed here when None; the step
+    returns fresh arrays (q0, q1, p0, p1, (f0, f1)), the forces at the new
+    positions last, so a caller that hands them to the next step evaluates
+    the forces once per substep.
 
     When no force exceeds cfg.substep_cap, or max_halvings is 0, every path is
     at level 0 and the whole ensemble takes one step on one noise block.
@@ -263,21 +309,22 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
     so the paths that move at a tick are a prefix of the sorted arrays and
     take one Strang pass together, each with its own level's coefficients;
     the forces at the end of a substep feed the next one's first half-kick,
-    and the forces of the halving test the first.  Noise keeps its keying:
+    and f, the forces of the halving test, the first.  Noise keeps its keying:
     one block per (level, substep) for all the paths at that level, so the
     draws a path sees depend on (seed, step, level) and on its position
     among the paths at that level; a tick joins its levels' blocks along
     the path axis.  With halving on, a non-finite force in the halving
     test raises check_finite's IntegrationError at t = (step_index + 1) dt,
-    naming the first such path, before any substep.  Returns fresh arrays;
-    the inputs are not written to."""
+    naming the first such path, before any substep.  The inputs are not
+    written to."""
     q0, q1, p0, p1 = (np.asarray(v, dtype=float) for v in (q0, q1, p0, p1))
-    f0, f1 = forces(q0, q1, params)
+    f0, f1 = forces(q0, q1, params) if f is None else f
     if cfg.max_halvings == 0 or (fmax := np.max(np.maximum(
             np.abs(f0), np.abs(f1)), initial=0.0)) / cfg.substep_cap <= 1.0:
         z = noise.normals(step_index, 0, 0, (4, q0.size))
-        return list(_strang(q0, q1, p0, p1, f0, f1,
-                            _coefficients(cfg.dt, params), params, z)[:4])
+        *x, f0, f1 = _strang(q0, q1, p0, p1, f0, f1,
+                             _coefficients(cfg.dt, params), params, z)
+        return (*x, (f0, f1))
     if not np.isfinite(fmax):
         check_finite((step_index + 1) * cfg.dt, f0, f1)
     m = _halving_levels(f0, f1, cfg)
@@ -302,10 +349,10 @@ def step_ensemble(q0, q1, p0, p1, step_index: int, cfg: IntegratorConfig,
         new = _strang(*(v[:n] for v in x), coef[:, :n], params, z)
         for v, w in zip(x, new):
             v[:n] = w
-    out = [np.empty_like(q0) for _ in range(4)]
+    out = [np.empty_like(q0) for _ in range(6)]
     for v, w in zip(out, x):
         v[order] = w
-    return out
+    return (*out[:4], tuple(out[4:]))
 
 
 def run_paths(x0: State4, n_paths: int, seed: int, n_steps: int,
@@ -317,20 +364,24 @@ def run_paths(x0: State4, n_paths: int, seed: int, n_steps: int,
     arrays are never written to afterwards.  Raises IntegrationError at the
     first step that leaves any path non-finite.
 
-    While step i computes, step i + 1's level-0 block (all n_paths paths) is
-    drawn on NoiseStream's helper thread, with the same bits; below
-    PREFETCH_MIN_DRAWS it is drawn on this thread when asked for.  The
-    helper ends with the run: exhausted, closed or raising."""
+    Each step hands its end-of-step forces to the next, so the forces are
+    evaluated once at the start and once per substep.  While step i
+    computes, the level-0 blocks (all n_paths paths) of the next
+    PREFETCH_DEPTH steps are queued on NoiseStream's helper thread, and
+    drawn there or, when this thread would otherwise wait, here, with the
+    same bits; below PREFETCH_MIN_DRAWS each is drawn on this thread when
+    asked for.  The helper ends with the run: exhausted, closed or
+    raising."""
     noise = NoiseStream(seed)
     q0, q1, p0, p1 = (np.full(n_paths, float(v))
                       for v in (x0.q0, x0.q1, x0.p0, x0.p1))
+    f = None
     try:
         yield 0, State4(q0, q1, p0, p1)
         for i in range(n_steps):
-            if i + 1 < n_steps:
-                noise.prefetch(*_chain_words(i + 1, 0, 0), 4 * n_paths)
-            q0, q1, p0, p1 = step_ensemble(q0, q1, p0, p1, i, cfg, params,
-                                           noise)
+            noise.prefetch(_level_zero, range(i + 1, n_steps), 4 * n_paths)
+            q0, q1, p0, p1, f = step_ensemble(q0, q1, p0, p1, i, cfg, params,
+                                              noise, f)
             check_finite((i + 1) * cfg.dt, q0, q1, p0, p1)
             yield i + 1, State4(q0, q1, p0, p1)
     finally:

@@ -175,6 +175,41 @@ class TestExitCodes:
             == "configuration error: eta must be nonzero\n"
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("eta", "nan"), ("eta", "-inf"), ("sigma", "inf"), ("sigma", "nan"),
+    ])
+    def test_non_finite_reduced_params_are_a_configuration_error(
+            self, tmp_path, capsys, key, value):
+        # a NaN eta or sigma would write a NaN density and normalization
+        code, out = run(tmp_path, "reduced", f"reduced.{key} = {value}\n")
+        assert code == 1
+        assert capsys.readouterr().err \
+            == f"configuration error: {key} must be finite\n"
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command, key, value", [
+        # the density grid runs from 1 to reduced.x_max
+        ("reduced", "reduced.x_max", 0.0),
+        ("reduced", "reduced.x_max", 1.0),
+        ("reduced", "reduced.x_max", math.nan),
+        ("reduced", "reduced.x_max", math.inf),
+        # no TV value compares above a NaN floor
+        ("convergence", "convergence.noise_floor_factor", math.nan),
+        ("convergence", "convergence.noise_floor_factor", math.inf),
+        ("convergence", "convergence.noise_floor_factor", -1.0),
+    ])
+    def test_bound_outside_its_range_is_a_configuration_error(
+            self, tmp_path, capsys, monkeypatch, command, key, value):
+        def ran(*args, **kwargs):
+            raise AssertionError("the ensemble was run")
+        monkeypatch.setattr(sim, "run_paths", ran)
+        monkeypatch.setattr(rd, "run_reduced", ran)
+        code, out = run(tmp_path, command, f"{key} = {value}\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"configuration error: {key} = {value} ")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_tails_runs_at_its_defaults(self, tmp_path):
         # "defaults are complete": the default ensemble keeps enough tail
         # samples for the Hill estimate

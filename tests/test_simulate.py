@@ -188,8 +188,9 @@ class TestStepKernel:
     ])
     def test_equals_allocating_kernel_bit_for_bit(self, params, cfg, x0, n,
                                                   levels, monkeypatch):
-        # every step's states equal the reference bit for bit, and the step
-        # draws the reference's multiset of noise blocks
+        # every step's states equal the reference bit for bit, the forces it
+        # hands on equal the forces at its new positions, and the step draws
+        # the reference's multiset of noise blocks
         seed, n_steps = 11, 40
         noise, want_calls, draw = _Spy(seed), [], _ref_normals
 
@@ -200,15 +201,17 @@ class TestStepKernel:
         monkeypatch.setitem(globals(), "_ref_normals", ref_normals)
         x = ([np.full(n, float(v)) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
              if isinstance(x0, State4) else x0)
-        seen = set()
+        seen, f = set(), None
         for i in range(n_steps):
             seen |= _levels(x, params, cfg)
             before = [v.copy() for v in x]
-            got = sim.step_ensemble(*x, i, cfg, params, noise)
+            *got, f = sim.step_ensemble(*x, i, cfg, params, noise, f)
             want = _ref_step_ensemble(*x, i, cfg, params, noise.key)
             for b, v in zip(before, x):
                 assert np.array_equal(b, v)     # inputs left unchanged
             for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            for g, w in zip(f, forces(got[0], got[1], params)):
                 assert np.array_equal(g, w)
             assert sorted(noise.calls) == sorted(want_calls)
             noise.calls.clear()
@@ -217,8 +220,8 @@ class TestStepKernel:
         assert seen == levels
 
     def test_one_force_evaluation_per_tick(self, monkeypatch):
-        # levels 0-3: the halving test plus one pass per finest substep,
-        # not one pass per (level, substep)
+        # levels 0-3: one pass per finest substep, not one pass per (level,
+        # substep), and the halving test reads the forces handed in
         counts = []
 
         def counting(q0, q1, params):
@@ -226,11 +229,12 @@ class TestStepKernel:
             return forces(q0, q1, params)
 
         x = _at_levels([0, 1, 2, 3, 3, 2, 1, 0])
+        f = forces(x[0], x[1], P2)
         monkeypatch.setattr(sim, "forces", counting)
-        sim.step_ensemble(*x, 0, GAPPED_CFG, P2, sim.NoiseStream(3))
-        assert len(counts) == 1 + 2 ** 3
+        sim.step_ensemble(*x, 0, GAPPED_CFG, P2, sim.NoiseStream(3), f)
+        assert len(counts) == 2 ** 3
         # tick t moves the levels >= 3 - (trailing zeros of t)
-        assert counts == [8, 8, 2, 4, 2, 6, 2, 4, 2]
+        assert counts == [8, 2, 4, 2, 6, 2, 4, 2]
 
 
 class TestRunPaths:
@@ -243,13 +247,29 @@ class TestRunPaths:
         expected, levels = [np.stack(x)], set()
         for i in range(n_steps):
             levels |= _levels(x, STIFF, STIFF_CFG)
-            x = sim.step_ensemble(*x, i, STIFF_CFG, STIFF, noise)
+            *x, _ = sim.step_ensemble(*x, i, STIFF_CFG, STIFF, noise)
             expected.append(np.stack(x))
         assert len(levels) >= 3
         got = list(sim.run_paths(x0, n, seed, n_steps, STIFF_CFG, STIFF))
         assert [i for i, _ in got] == list(range(n_steps + 1))
         for (_, s), e in zip(got, expected):
             assert np.array_equal(s.as_array(), e)
+
+    def test_level_zero_run_evaluates_forces_once_per_step(self,
+                                                           monkeypatch):
+        # each step's end-of-step forces start the next step: one evaluation
+        # at the start and one per step, not two per step
+        counts, n, n_steps = [], 64, 20
+
+        def counting(q0, q1, params):
+            counts.append(np.size(q0))
+            return forces(q0, q1, params)
+
+        cfg = sim.IntegratorConfig(dt=0.005, substep_cap=50.0)
+        monkeypatch.setattr(sim, "forces", counting)
+        got = list(sim.run_paths(X0, n, 7, n_steps, cfg, P2))
+        assert len(got) == n_steps + 1
+        assert counts == [n] * (1 + n_steps)
 
     @pytest.mark.parametrize("cfg", [STIFF_CFG,
                                      sim.IntegratorConfig(dt=0.002)])
@@ -316,10 +336,12 @@ class TestNoiseStream:
 
 
 class TestLookahead:
-    """run_paths draws step i + 1's level-0 block on a helper thread while
-    step i computes.  Its states must equal, bit for bit, a hand loop of
-    step_ensemble on a stream that never prefetches, at ensemble sizes whose
-    level-0 block (4 n_paths draws) is above PREFETCH_MIN_DRAWS."""
+    """run_paths queues the level-0 blocks of the next PREFETCH_DEPTH steps
+    on a helper thread while step i computes, and a caller that would wait
+    draws a later one itself.  Its states must equal, bit for bit, a hand
+    loop of step_ensemble on a stream that never prefetches, at ensemble
+    sizes whose level-0 block (4 n_paths draws) is above
+    PREFETCH_MIN_DRAWS, with no block drawn twice."""
 
     N = 4096
 
@@ -340,14 +362,14 @@ class TestLookahead:
 
     def _check(self, x0, seed, n_steps, cfg, params, draws):
         """Compare run_paths with the hand loop; return the halving levels
-        of each step."""
+        of each step and the level-0 blocks read."""
         assert 4 * self.N >= sim.PREFETCH_MIN_DRAWS
         noise = sim.NoiseStream(seed)
         x = [np.full(self.N, float(v)) for v in (x0.q0, x0.q1, x0.p0, x0.p1)]
         expected, levels = [np.stack(x)], []
         for i in range(n_steps):
             levels.append(_levels(x, params, cfg))
-            x = sim.step_ensemble(*x, i, cfg, params, noise)
+            *x, _ = sim.step_ensemble(*x, i, cfg, params, noise)
             expected.append(np.stack(x))
         assert draws["helper"] == []    # the hand loop never prefetched
         draws["caller"].clear()
@@ -355,31 +377,36 @@ class TestLookahead:
         assert [i for i, _ in got] == list(range(n_steps + 1))
         for (_, s), e in zip(got, expected):
             assert np.array_equal(s.as_array(), e)
-        # every level-0 block after the first is read from the helper, and
-        # none is drawn again here; a stale one may be dropped before the
-        # helper starts on it
-        ahead = {sim._chain_words(i, 0, 0) for i in range(1, n_steps)}
-        read = {sim._chain_words(i, 0, 0)
-                for i in range(1, n_steps) if 0 in levels[i]}
-        assert read <= set(draws["helper"]) <= ahead
-        assert not ahead & set(draws["caller"])
-        return levels
+        # no counter words are drawn twice, on either thread; the helper
+        # draws only level-0 blocks queued ahead, and every level-0 block
+        # read is drawn by one of the two threads (a stale one may be
+        # dropped before either starts on it)
+        both = draws["caller"] + draws["helper"]
+        assert len(set(both)) == len(both)
+        ahead = {sim._level_zero(i) for i in range(1, n_steps)}
+        assert set(draws["helper"]) <= ahead
+        read = {sim._level_zero(i)
+                for i in range(n_steps) if 0 in levels[i]}
+        assert read <= set(both)
+        return levels, read
 
     def test_level_zero_steps(self, draws):
         cfg = sim.IntegratorConfig(dt=0.005, substep_cap=50.0)
-        levels = self._check(X0, 7, 30, cfg, P2, draws)
+        levels, read = self._check(X0, 7, 30, cfg, P2, draws)
         assert all(lv == {0} for lv in levels)
-        assert draws["caller"] == [sim._chain_words(0, 0, 0)]
+        # every block is read, so each is drawn exactly once, the first here
+        assert sorted(draws["caller"] + draws["helper"]) == sorted(read)
+        assert draws["caller"][0] == sim._level_zero(0)
 
     def test_level_zero_group_reads_a_prefix_of_the_block(self, draws):
-        levels = self._check(State4(2.0, -2.0, 0.0, 0.0), 11, 30, STIFF_CFG,
+        levels, _ = self._check(State4(2.0, -2.0, 0.0, 0.0), 11, 30, STIFF_CFG,
                              STIFF, draws)
         assert any(0 in lv and len(lv) > 1 for lv in levels[1:])
 
     def test_stale_block_of_a_step_without_level_zero_is_dropped(
             self, draws):
-        levels = self._check(State4(3.0, -3.0, 0.0, 0.0), 11, 30, STIFF_CFG,
-                             STIFF, draws)
+        levels, _ = self._check(State4(3.0, -3.0, 0.0, 0.0), 11, 30,
+                                STIFF_CFG, STIFF, draws)
         stale = [i for i, lv in enumerate(levels) if i and 0 not in lv]
         assert stale and any(0 in lv for lv in levels[stale[-1] + 1:])
 
@@ -444,8 +471,9 @@ class TestHelperThread:
                         reason="needs a process on two or more cores")
     def test_helper_keeps_off_the_callers_core(self):
         def helper_cores(noise):
-            noise.prefetch(0, 1, sim.PREFETCH_MIN_DRAWS)
-            noise.block(0, 1, 1)            # the helper has started
+            noise.prefetch(sim._level_zero, range(1, 2),
+                           sim.PREFETCH_MIN_DRAWS)
+            noise.normals(1, 0, 0, 1)       # the helper has started
             (helper,) = [t for t in threading.enumerate()
                          if t.name.startswith("ThreadPoolExecutor")]
             return os.sched_getaffinity(helper.native_id)
@@ -498,12 +526,52 @@ class TestNoiseStreamLookahead:
         bg = np.random.Philox(key=key, counter=[0, w1, w2, 0])
         return np.random.Generator(bg).standard_normal(shape)
 
+    @staticmethod
+    def _words(step):
+        return 0, step
+
+    def test_a_waiting_caller_draws_a_later_block(self, monkeypatch):
+        # the helper holds its first block until the caller has drawn a
+        # block, so asking for that first block always finds it running
+        depth, size = sim.PREFETCH_DEPTH, sim.PREFETCH_MIN_DRAWS
+        assert depth >= 2
+        draw, caller = sim._Reseated.draw, threading.get_ident()
+        started, taken = threading.Event(), threading.Event()
+        drawn = {"caller": [], "helper": []}
+
+        def gated(self, word1, word2, shape):
+            here = threading.get_ident() == caller
+            drawn["caller" if here else "helper"].append((word1, word2))
+            if not here and (word1, word2) == (0, 1):
+                started.set()
+                if not taken.wait(10):
+                    raise RuntimeError("the caller took no block over")
+            out = draw(self, word1, word2, shape)
+            if here:
+                taken.set()
+            return out
+
+        monkeypatch.setattr(sim._Reseated, "draw", gated)
+        noise = sim.NoiseStream(13)
+        try:
+            noise.prefetch(self._words, range(1, 1 + depth), size)
+            assert started.wait(60)
+            got = {s: noise.block(0, s, size) for s in range(1, 1 + depth)}
+        finally:
+            noise.close()
+        # the latest queued block, not yet started, was drawn here instead
+        # of idling, the others by the helper, each once
+        assert drawn["caller"] == [(0, depth)]
+        assert drawn["helper"] == [(0, s) for s in range(1, depth)]
+        for s, z in got.items():
+            assert np.array_equal(z, self._fresh(noise.key, 0, s, size))
+
     def test_prefix_of_a_prefetched_block_equals_fresh_philox(self):
         noise = sim.NoiseStream(13)
         n = 4096
         try:
             for m in (1, 2, 3, 7, 64, 511, 1000, 2047, 3001, 4095, 4096):
-                noise.prefetch(0, 5 << 8, 4 * n)
+                noise.prefetch(sim._level_zero, range(5, 6), 4 * n)
                 got = noise.normals(5, 0, 0, (4, m))
                 assert np.array_equal(got, self._fresh(noise.key, 0, 5 << 8,
                                                        (4, m)))
@@ -514,18 +582,60 @@ class TestNoiseStreamLookahead:
         noise = sim.NoiseStream(13)
         size = sim.PREFETCH_MIN_DRAWS
         try:
-            noise.prefetch(0, 9, size)
+            noise.prefetch(self._words, range(9, 10), size)
             # other words, then more draws than were prefetched
             for w1, w2, shape in ((0, 8, size), (1, 9, 3), (0, 9, size + 1),
                                   (0, 9, 5)):
                 assert np.array_equal(noise.block(w1, w2, shape),
                                       self._fresh(noise.key, w1, w2, shape))
             # below the floor nothing is prefetched
-            noise.prefetch(0, 10, size - 1)
+            noise.prefetch(self._words, range(10, 11), size - 1)
             assert noise.block(0, 10, size - 1).shape == (size - 1,)
             assert noise._ahead == {}
         finally:
             noise.close()
+
+
+    def test_blocks_under_thread_switching_stress(self, monkeypatch):
+        # four streams at once, each with its own helper (eight threads on
+        # fewer cores), switching threads every microsecond: every block
+        # read equals a fresh Philox and no stream draws a block twice
+        draw, drawn = sim._Reseated.draw, []
+
+        def spy(self, word1, word2, shape):
+            drawn.append((int(self._state["state"]["key"][0]), word1, word2))
+            return draw(self, word1, word2, shape)
+
+        monkeypatch.setattr(sim._Reseated, "draw", spy)
+        size, n_steps, bad = sim.PREFETCH_MIN_DRAWS, 200, []
+
+        def run(seed):
+            noise = sim.NoiseStream(seed)
+            try:
+                for step in range(n_steps):
+                    noise.prefetch(self._words, range(step + 1, n_steps),
+                                   size)
+                    z = noise.block(0, step, size)
+                    if not np.array_equal(z, self._fresh(noise.key, 0, step,
+                                                         size)):
+                        bad.append((seed, step))
+            finally:
+                noise.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,))
+                       for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a run hung"
+        assert bad == []
+        assert len(set(drawn)) == len(drawn) == 4 * n_steps
 
 
 class TestPinnedOutputs:
