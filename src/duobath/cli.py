@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -23,8 +22,8 @@ from . import reduced as rd
 from . import simulate as sim
 from . import presets as pre
 from . import lyapunov as ly
-from .config import (ConfigError, parse_config_text, from_section,
-                     chain_from_config, manifest, write_json)
+from .config import (ConfigError, parse_config_text, check_domains,
+                     from_section, chain_from_config, manifest, write_json)
 from .model import ModelParams
 
 CCDF_POINTS = 200   # log-spaced order statistics written to ccdf.csv
@@ -50,6 +49,7 @@ def _prepare(args, command):
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
     write_json(out / "manifest.json", manifest(command, cfg, seed, str(out)))
+    check_domains(cfg)
     return cfg, out, seed
 
 
@@ -80,8 +80,6 @@ def cmd_phase_diagram(args) -> int:
     base = from_section(ModelParams, "model", cfg)
     ch = osc.c_hat()
     t_hots = cfg["grid.t_hot_values"] or (base.t_hot,)
-    if 0 in cfg["grid.k_values"]:
-        raise ValueError("k = 0 (logarithmic potential) is not supported")
     rows = []
     for k in cfg["grid.k_values"]:
         for th in t_hots:
@@ -142,24 +140,15 @@ def cmd_simulate(args) -> int:
 def cmd_tails(args) -> int:
     cfg, out, seed = _prepare(args, "tails")
     p, icfg, x0, n = chain_from_config(cfg)
-    thin = cfg["tails.thin_stride"]
-    if thin < 1:
-        raise ConfigError(f"tails.thin_stride = {thin} is not a positive "
-                          "stride")
     n_steps = sim.steps_in(icfg.t_end, icfg.dt)
-    # each fraction is range-checked before round or int meets inf or NaN
     burn_in = cfg["tails.burn_in"]
-    if not 0 <= burn_in <= 1:
-        raise ConfigError(f"tails.burn_in = {burn_in} is not in [0, 1]")
     burn_steps = int(round(burn_in * n_steps))
     if burn_steps >= n_steps:
         raise ConfigError(f"tails.burn_in = {burn_in} leaves none of the "
                           f"{n_steps} integrator steps to sample")
-    kept = range(burn_steps + 1, n_steps + 1, thin)
+    kept = range(burn_steps + 1, n_steps + 1, cfg["tails.thin_stride"])
     count = n * len(kept)   # energies pooled below
     top = cfg["tails.top_fraction"]
-    if not 0 < top < 1:
-        raise ConfigError(f"tails.top_fraction = {top} is not in (0, 1)")
     n_tail = int(count * top)
     if not sim.HILL_MIN_TAIL <= n_tail < count:
         raise ConfigError(f"tails.top_fraction = {top} keeps {n_tail} of the "
@@ -200,13 +189,6 @@ def cmd_convergence(args) -> int:
     except ValueError as e:
         raise ConfigError(f"convergence.burn_in = {burn}: {e}")
     binning = cfg["convergence.binning"]
-    if binning < 1:
-        raise ConfigError(f"convergence.binning = {binning} is not a positive "
-                          "number of bins")
-    floor_factor = cfg["convergence.noise_floor_factor"]
-    if not 0 <= floor_factor < math.inf:
-        raise ConfigError(f"convergence.noise_floor_factor = {floor_factor} "
-                          "is not a finite factor >= 0")
     n_times = cfg["convergence.n_times"]
     n_steps = sim.steps_in(icfg.t_end, icfg.dt)
     if not 1 <= n_times <= n_steps:
@@ -232,7 +214,7 @@ def cmd_convergence(args) -> int:
     _write_csv(out / "tv_series.csv", ["t", "tv_proxy"],
                list(zip(ts, tvs)))
     ts, tvs = np.asarray(ts), np.asarray(tvs)
-    usable = tvs > floor_factor * floor
+    usable = tvs > cfg["convergence.noise_floor_factor"] * floor
     report = {"noise_floor": floor, "n_usable": int(usable.sum())}
     if usable.sum() >= 10:
         fit = sim.fit_decay(ts[usable], tvs[usable])
@@ -281,32 +263,27 @@ def cmd_reduced(args) -> int:
     cfg, out, seed = _prepare(args, "reduced")
     rp = from_section(rd.ReducedParams, "reduced", cfg)
     mode = cfg["reduced.mode"]
-    if mode not in ("density", "simulate", "classify", "all"):
-        raise ConfigError(f"reduced.mode = {mode!r} is not one of density, "
-                          "simulate, classify, all")
-    for key in ("reduced.n_paths", "reduced.n_grid"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} = {cfg[key]} is not a positive size")
-    x_max = cfg["reduced.x_max"]
-    if not 1 < x_max < math.inf:    # the density grid runs from 1 to x_max
-        raise ConfigError(f"reduced.x_max = {x_max} is not a finite number "
-                          "above 1")
+    dt, t_end = cfg["reduced.dt"], cfg["reduced.t_end"]
+    try:    # the run length, checked before any mode's work
+        sim.steps_in(t_end, dt)
+    except ValueError as e:
+        raise ConfigError(f"reduced.dt = {dt}, reduced.t_end = {t_end}: {e}")
     report = {"eta": rp.eta, "sigma": rp.sigma}
     if mode in ("classify", "all"):
         report["rate_row"] = asdict(rd.classify_reduced(rp))
     if mode in ("density", "all"):
         try:
             dens = rd.stationary_density(rp)
-            xs = np.geomspace(1.0, x_max, cfg["reduced.n_grid"])
+            xs = np.geomspace(1.0, cfg["reduced.x_max"],
+                              cfg["reduced.n_grid"])
             _write_csv(out / "density.csv", ["x", "value"],
                        list(zip(xs, dens.pdf(xs))))
             report["normalization"] = dens.normalization
         except rd.NoInvariantMeasure as e:
             report["density"] = f"no invariant measure: {e}"
     if mode in ("simulate", "all"):
-        samples = rd.simulate_reduced(rp, cfg["reduced.dt"],
-                                      cfg["reduced.t_end"],
-                                      cfg["reduced.n_paths"], seed)
+        samples = rd.simulate_reduced(rp, dt, t_end, cfg["reduced.n_paths"],
+                                      seed)
         _write_csv(out / "reduced_ccdf.csv", ["x", "value"],
                    _ccdf_rows(samples))
         report["sample_mean"] = float(samples.mean())

@@ -2,9 +2,9 @@
 
 One `section.key = value` pair per line; `#` starts a comment.  Every command
 declares its schema up front as key -> default, and a key's type is its
-default's type; unknown keys or malformed values are rejected before any
-computation starts, and the fully resolved configuration is echoed into the
-run manifest.
+default's type.  Unknown keys, malformed values and values outside `DOMAINS`
+are rejected before any computation starts, and the fully resolved
+configuration is echoed into the run manifest.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import importlib.metadata
 import json
 import platform
 from dataclasses import fields
-from typing import Dict
+from math import inf, isfinite
 
 from .model import ModelParams, State4
 from .simulate import IntegratorConfig
@@ -56,7 +56,7 @@ ENSEMBLE_SCHEMA = {
     "ensemble.x0": (1.0, -1.0, 0.5, 0.5),
 }
 
-SCHEMAS: Dict[str, Dict[str, object]] = {
+SCHEMAS: dict[str, dict[str, object]] = {
     "constants": {**MODEL_SCHEMA},
     "phase-diagram": {
         **MODEL_SCHEMA,
@@ -86,7 +86,7 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
         "verify.n": 10000,
     },
     "reduced": {
-        "reduced.mode": "all",        # density | simulate | classify | all
+        "reduced.mode": "all",
         "reduced.eta": 3.0,
         "reduced.sigma": -1.0,
         "reduced.dt": 0.01,
@@ -95,6 +95,28 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
         "reduced.x_max": 50.0,
         "reduced.n_grid": 400,
     },
+}
+
+
+# key -> (test, text) for each key whose type admits values no run can use
+DOMAINS = {
+    "ensemble.n_paths": (lambda v: v >= 1, "a positive number of paths"),
+    "ensemble.x0": (lambda v: len(v) == 4, "the 4 numbers q0 q1 p0 p1"),
+    "grid.k_values": (lambda v: all(isfinite(k) and k != 0 for k in v),
+                      "finite and free of k = 0 (the logarithmic potential)"),
+    "grid.t_hot_values": (lambda v: all(0 < t < inf for t in v),
+                          "finite and positive"),
+    "tails.thin_stride": (lambda v: v >= 1, "a positive stride"),
+    "tails.burn_in": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "tails.top_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "convergence.binning": (lambda v: v >= 1, "a positive number of bins"),
+    "convergence.noise_floor_factor": (lambda v: 0 <= v < inf, "in [0, inf)"),
+    "verify.n": (lambda v: v >= 1000, "at least 1000 samples per shell"),
+    "reduced.mode": (lambda v: v in ("density", "simulate", "classify", "all"),
+                     "one of density, simulate, classify, all"),
+    "reduced.n_paths": (lambda v: v >= 1, "a positive number of paths"),
+    "reduced.n_grid": (lambda v: v >= 1, "a positive number of points"),
+    "reduced.x_max": (lambda v: 1 < v < inf, "in (1, inf)"),  # grid from 1
 }
 
 
@@ -121,6 +143,13 @@ def parse_config_text(text: str, command: str) -> dict:
     return resolved
 
 
+def check_domains(cfg: dict) -> None:
+    """Raise ConfigError at the first key of cfg outside its DOMAINS entry."""
+    for key, (test, text) in DOMAINS.items():
+        if key in cfg and not test(cfg[key]):
+            raise ConfigError(f"{key} = {cfg[key]} is not {text}")
+
+
 def from_section(cls, section: str, cfg: dict):
     """The dataclass cls built from the keys `section.<field>` of cfg."""
     try:
@@ -133,14 +162,7 @@ def chain_from_config(cfg: dict):
     """The chain's sections of cfg: (params, integrator, x0, n_paths)."""
     params = from_section(ModelParams, "model", cfg)
     icfg = from_section(IntegratorConfig, "integrator", cfg)
-    x0, n_paths = cfg["ensemble.x0"], cfg["ensemble.n_paths"]
-    if len(x0) != 4:
-        raise ConfigError(f"ensemble.x0 has {len(x0)} numbers, not the 4 of "
-                          "q0 q1 p0 p1")
-    if n_paths < 1:
-        raise ConfigError(f"ensemble.n_paths = {n_paths} is not a positive "
-                          "number of paths")
-    return params, icfg, State4(*x0), n_paths
+    return params, icfg, State4(*cfg["ensemble.x0"]), cfg["ensemble.n_paths"]
 
 
 def manifest(command: str, cfg: dict, seed: int, out: str) -> dict:

@@ -12,7 +12,7 @@ from duobath import oscillator as osc
 from duobath import reduced as rd
 from duobath import simulate as sim
 from duobath.cli import main
-from duobath.config import ConfigError, parse_config_text
+from duobath.config import DOMAINS, SCHEMAS, ConfigError, parse_config_text
 
 
 def run(tmp_path, command, cfg_text="", extra=()):
@@ -64,6 +64,14 @@ class TestConfigParsing:
         assert cfg["samples.dump"] is True
         with pytest.raises(ConfigError, match="integrator.record_stride"):
             parse_config_text("integrator.record_stride = 2.5", "simulate")
+
+    def test_every_domain_bounds_a_schema_key_and_holds_its_default(self):
+        # a misspelt key would never be checked, and a default outside its
+        # domain would break "defaults are complete"
+        defaults = {key: value for schema in SCHEMAS.values()
+                    for key, value in schema.items()}
+        for key, (test, _) in DOMAINS.items():
+            assert key in defaults and test(defaults[key]), key
 
 
 class TestExitCodes:
@@ -118,7 +126,18 @@ class TestExitCodes:
          "configuration error: alpha must be strictly positive"),
         ("constants", "model.k = nan", "configuration error: k must be finite"),
         ("constants", "model.k = inf", "configuration error: k must be finite"),
-        ("phase-diagram", "grid.k_values = nan", "error: k is NaN"),
+        ("phase-diagram", "grid.k_values = nan",
+         "configuration error: grid.k_values = (nan,) is not finite"),
+        ("phase-diagram", "grid.t_hot_values = -1",
+         "configuration error: grid.t_hot_values = (-1.0,) is not finite"),
+        ("phase-diagram", "grid.t_hot_values = nan",
+         "configuration error: grid.t_hot_values = (nan,) is not finite"),
+        # a two-function preset runs at least 2000 states a level set, so
+        # a verify.n below the floor must not pass unnoticed there either
+        ("verify", "verify.preset = negative-k2\nverify.n = 0",
+         "configuration error: verify.n = 0 is not at least 1000"),
+        ("verify", "verify.n = 999",
+         "configuration error: verify.n = 999 is not at least 1000"),
         ("simulate", "model.k = nan", "configuration error: k must be finite"),
         ("simulate", "model.alpha = inf",
          "configuration error: alpha must be finite"),
@@ -219,7 +238,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "tails", "convergence"])
     @pytest.mark.parametrize("cfg, named", [
-        ("ensemble.x0 = 1 2 3\n", "ensemble.x0 has 3 numbers"),
+        ("ensemble.x0 = 1 2 3\n", "ensemble.x0 = (1.0, 2.0, 3.0) is not "),
         ("ensemble.n_paths = 0\n", "ensemble.n_paths = 0 "),
         ("ensemble.n_paths = -1\n", "ensemble.n_paths = -1 "),
     ])
@@ -292,9 +311,9 @@ class TestExitCodes:
         ("convergence", "integrator.dt = 1e-320", "configuration error:"),
         ("convergence", "convergence.burn_in = -1",
          "configuration error: convergence.burn_in = -1.0:"),
-        ("reduced", "reduced.t_end = -5", "error:"),
-        ("reduced", "reduced.t_end = inf", "error:"),
-        ("reduced", "reduced.dt = 1e-320", "error:"),
+        ("reduced", "reduced.t_end = -5", "configuration error: reduced."),
+        ("reduced", "reduced.t_end = inf", "configuration error: reduced."),
+        ("reduced", "reduced.dt = 1e-320", "configuration error: reduced."),
     ])
     def test_run_length_outside_its_range_is_exit_1(
             self, tmp_path, capsys, monkeypatch, command, cfg, prefix):
@@ -309,9 +328,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(prefix) and "Traceback" not in err
-        # reduced.mode = all writes the density before it simulates
-        assert {p.name for p in out.iterdir()} <= {"manifest.json",
-                                                   "density.csv"}
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_integrator_scheme_key_is_exit_1(self, tmp_path, capsys):
         # Strang splitting is the only scheme; even its old name is rejected
@@ -357,7 +374,8 @@ class TestArtifacts:
                         "grid.k_values = -1 0 2\n")
         assert code == 1
         assert capsys.readouterr().err \
-            == "error: k = 0 (logarithmic potential) is not supported\n"
+            == ("configuration error: grid.k_values = (-1.0, 0.0, 2.0) is "
+                "not finite and free of k = 0 (the logarithmic potential)\n")
         assert not (out / "phase_diagram.csv").exists()
 
     def test_config_from_stdin(self, tmp_path, monkeypatch):
