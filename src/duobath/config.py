@@ -15,6 +15,7 @@ import platform
 from dataclasses import fields
 from math import inf, isfinite
 
+from .lyapunov import MIN_SHELL_SAMPLES
 from .model import ModelParams, State4
 from .simulate import IntegratorConfig
 
@@ -111,7 +112,8 @@ DOMAINS = {
     "tails.top_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
     "convergence.binning": (lambda v: v >= 1, "a positive number of bins"),
     "convergence.noise_floor_factor": (lambda v: 0 <= v < inf, "in [0, inf)"),
-    "verify.n": (lambda v: v >= 1000, "at least 1000 samples per shell"),
+    "verify.n": (lambda v: v >= MIN_SHELL_SAMPLES,
+                 f"at least {MIN_SHELL_SAMPLES} samples per shell"),
     "reduced.mode": (lambda v: v in ("density", "simulate", "classify", "all"),
                      "one of density, simulate, classify, all"),
     "reduced.n_paths": (lambda v: v >= 1, "a positive number of paths"),

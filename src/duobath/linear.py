@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .model import ModelParams, quintic_bridge, v1_prime, v1_second
 
@@ -43,6 +42,8 @@ def build_gram(A: np.ndarray, gamma_tilde: float) -> GramForm:
         raise ValueError(
             f"integral diverges: spectral abscissa {absc:.6g} is not below "
             f"-gamma_tilde/2 = {-gamma_tilde / 2:.6g}")
+    from scipy.linalg import solve_continuous_lyapunov
+
     n = A.shape[0]
     S = solve_continuous_lyapunov((A + 0.5 * gamma_tilde * np.eye(n)).T,
                                   -np.eye(n))

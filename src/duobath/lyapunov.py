@@ -551,6 +551,7 @@ def sample_shell(params: ModelParams, r_lo: float, r_hi: float, n: int,
 
 VIOLATION_THRESHOLD = 1e-3   # largest violating fraction a passing shell has
 STABLE_RUNS = 3              # equal verdicts in a row that end the doubling
+MIN_SHELL_SAMPLES = 1000     # fewest states a shell is checked on (verify.n)
 # name -> level of the margin quantiles each shell reports
 MARGIN_QUANTILES = {"min": 0.0, "q01": 0.01, "q25": 0.25, "q50": 0.5,
                     "q75": 0.75, "max": 1.0}
@@ -615,8 +616,9 @@ def verify_sign(form, predicate: Predicate, shell: ShellSpec, n: int,
     """Evaluate the drift of `form` on energy shells, sampled with the form's
     shell_phi, and report sign violations, doubling the radius until the
     verdict repeats STABLE_RUNS times in a row."""
-    if n < 1000:
-        raise ValueError("need at least 1000 samples per shell")
+    if n < MIN_SHELL_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_SHELL_SAMPLES} samples per shell")
     shells: List[ShellResult] = []
     verdicts: List[bool] = []
     r = shell.r0

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, betaincinv
 
 DEFAULT_NODES = 4096
 CLOSURE_TOL = 1e-10
@@ -45,6 +44,7 @@ def orbit_period(E: float, k: float) -> float:
         raise ValueError("energy must be positive")
     if k <= 0:
         raise ValueError("exponent must be positive")
+    from scipy.special import beta as beta_fn
     return 4 * q_max(E, k) / math.sqrt(2 * E) * beta_fn(1 / (2 * k), 0.5) / (2 * k)
 
 
@@ -152,6 +152,8 @@ class OrbitTable:
         kinetic share y = P^2/(2E): the argument is the smaller share, where
         I is well conditioned.  The signs of P and Q give the quadrant.
         """
+        from scipy.special import betainc
+
         P = np.asarray(P, dtype=float)
         Q = np.asarray(Q, dtype=float)
         k, E = self.k, self.energy
@@ -200,6 +202,8 @@ def build_orbit(E: float, k: float, n: int = DEFAULT_NODES) -> OrbitTable:
         raise ValueError("need at least 64 nodes")
     if n % 4:
         raise ValueError("node count must be divisible by 4")
+    from scipy.special import betaincinv
+
     period = orbit_period(E, k)
     nq = n // 4
     a = 1 / (2 * k)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Tuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammaincc
 
 from .model import ModelParams
 from .simulate import NoiseStream, check_finite, steps_in
@@ -110,6 +109,8 @@ class StationaryDensity:
         s, e = self.rp.sigma, self.rp.eta
         if _isclose(s, -1.0):
             return x ** (1.0 - e) / (e - 1.0)
+        from scipy.special import gamma as gamma_fn, gammaincc
+
         c = s + 1.0
         b = e / c
         # int_x^inf exp(-b u^c) du = Gamma(1/c) * Q(1/c, b x^c) / (c b^(1/c))
@@ -168,8 +169,16 @@ def run_reduced(rp: ReducedParams, dt: float, n_steps: int, n_paths: int,
         for step in range(n_steps):
             noise.prefetch(_words, range(step + 1, n_steps), n_paths)
             xi = noise.block(*_words(step), n_paths)
-            x = x - rp.eta * x ** rp.sigma * dt + sq * xi
-            x = np.maximum(x, 2.0 - x)      # mirror at 1, NaN passes through
+            # x - eta x^sigma dt + sq xi, built in the step's own new array
+            # in the expression's order (so the same bits), one temporary
+            y = x ** rp.sigma
+            y *= rp.eta
+            y *= dt
+            np.subtract(x, y, out=y)
+            tmp = sq * xi
+            y += tmp
+            np.subtract(2.0, y, out=tmp)
+            x = np.maximum(y, tmp, out=y)   # mirror at 1, NaN passes through
             check_finite((step + 1) * dt, x)
             yield step + 1, x
     finally:
