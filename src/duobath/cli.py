@@ -156,26 +156,29 @@ def cmd_tails(args) -> int:
                           f"at least {sim.HILL_MIN_TAIL} and fewer than all")
     h_of = sim.obs_energy(p)
 
-    # burn in, then pool H over paths x thinned snapshots
-    chunks = []
+    # burn in, then pool H over paths x thinned snapshots, one row each
+    pool = np.empty(count)
+    rows = pool.reshape(len(kept), n)
     for i, s in sim.run_paths(x0, n, seed, n_steps, icfg, p):
         if i in kept:
-            chunks.append(np.asarray(h_of(s)))
-    samples = np.concatenate(chunks)
-    hill = sim.hill_estimator(samples, top)
+            rows[kept.index(i)] = h_of(s)
+    pool.sort()     # the one copy of the pool, read by Hill and the CCDF
+    hill = sim.hill_sorted(pool, top)
     report = {"hill_index": hill.index, "stderr": hill.stderr,
               "n_tail": hill.n_tail, "threshold": hill.threshold,
               "heavy_tail": hill.heavy_tail,
               "index_by_fraction": hill.index_by_fraction,
-              "n_samples": int(samples.size)}
-    _write_csv(out / "ccdf.csv", ["x", "value"], _ccdf_rows(samples))
+              "n_samples": int(pool.size)}
+    _write_csv(out / "ccdf.csv", ["x", "value"], _ccdf_rows(pool))
     _report(out, report)
     return 0
 
 
-def _ccdf_rows(samples):
-    s = np.sort(np.asarray(samples))
-    s = s[s > 0]
+def _ccdf_rows(ascending):
+    """CCDF_POINTS log-spaced order statistics of an ascending array's
+    values > 0, +inf included (the window ends at the first NaN)."""
+    s = ascending[np.searchsorted(ascending, 0.0, "right"):
+                  np.searchsorted(ascending, np.nan)]
     idx = np.unique(np.geomspace(1, len(s), CCDF_POINTS).astype(int)) - 1
     return [[s[i], 1.0 - (i + 1) / len(s)] for i in idx]
 
@@ -231,8 +234,12 @@ def cmd_verify(args) -> int:
     if name not in pre.PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{', '.join(pre.PRESET_NAMES)}")
-    rep = pre.run_preset(name, n=cfg["verify.n"], seed=seed)
-    write_json(out / "report.json", {**asdict(rep), "preset": name})
+    n = cfg["verify.n"]
+    rep = pre.run_preset(name, n=n, seed=seed)
+    report = {**asdict(rep), "preset": name}
+    if isinstance(rep, ly.WonhamReport):    # what verify.n became
+        report["samples_per_level_set"] = pre.wonham_samples(n)
+    write_json(out / "report.json", report)
     if isinstance(rep, ly.WonhamReport):
         for h in rep.hypotheses:
             print(("PASS" if h.passed else "FAIL"), "-", h.name)
@@ -285,7 +292,7 @@ def cmd_reduced(args) -> int:
         samples = rd.simulate_reduced(rp, dt, t_end, cfg["reduced.n_paths"],
                                       seed)
         _write_csv(out / "reduced_ccdf.csv", ["x", "value"],
-                   _ccdf_rows(samples))
+                   _ccdf_rows(np.sort(samples)))
         report["sample_mean"] = float(samples.mean())
         report["sample_q95"] = float(np.quantile(samples, 0.95))
     _report(out, report)

@@ -94,12 +94,19 @@ def get_preset(name: str) -> VerifyPreset:
     return PRESETS[name]()
 
 
+def wonham_samples(n: int) -> int:
+    """States a level set of a kind 'wonham' preset is checked on, for the
+    n states a shell of a sign preset gets."""
+    return max(2000, n // 2)
+
+
 def run_preset(name: str, n: int = 10_000, seed: int = 0):
     """Execute a preset; returns a VerificationReport for kind 'sign' and a
-    WonhamReport for kind 'wonham'."""
+    WonhamReport (at wonham_samples(n) states a level set) for kind
+    'wonham'."""
     p = get_preset(name)
     form = p.family(p.params, **p.parameters)
     if p.kind == "sign":
         return ly.verify_sign(form, p.predicate, p.shell, n, seed, p.params)
-    return ly.wonham_report(form, p.params, p.shell, n=max(2000, n // 2),
+    return ly.wonham_report(form, p.params, p.shell, n=wonham_samples(n),
                             seed=seed)

@@ -209,8 +209,11 @@ def sample_stationary(rp: ReducedParams, dt: float, burn_in: float,
     if gap < 1:
         raise ValueError(f"snapshot_gap = {snapshot_gap} is no step of dt")
     kept = range(burn + gap, burn + n_snapshots * gap + 1, gap)
-    run = run_reduced(rp, dt, kept[-1], n_paths, seed)
-    return np.concatenate([x for i, x in run if i in kept])
+    pool = np.empty((n_snapshots, n_paths))
+    for i, x in run_reduced(rp, dt, kept[-1], n_paths, seed):
+        if i in kept:
+            pool[kept.index(i)] = x
+    return pool.ravel()
 
 
 # ---------------------------------------------------------------------------

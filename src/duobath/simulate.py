@@ -491,14 +491,21 @@ HILL_N_BOOT = 100      # bootstrap resamples behind the stderr
 
 
 def hill_estimator(samples, top_fraction: float = 0.01) -> HillResult:
-    """Hill estimate of the CCDF exponent over the top fraction of the sample.
+    """Hill estimate of the CCDF exponent over the top fraction of the
+    sample's positive finite values: hill_sorted on a sorted copy."""
+    return hill_sorted(np.sort(np.asarray(samples, dtype=float)),
+                       top_fraction)
 
-    Also reports the estimate at top_fraction, /2 and /4; a systematic rise
-    towards smaller fractions is the signature of a light tail and flips
-    heavy_tail to False.
+
+def hill_sorted(s: np.ndarray, top_fraction: float) -> HillResult:
+    """hill_estimator of an ascending float array, read off it in place.
+
+    Uses the positive finite values, the window between the last value
+    <= 0 and the first +inf (NaN sorts last).  Also reports the estimate at
+    top_fraction, /2 and /4; a systematic rise towards smaller fractions is
+    the signature of a light tail and flips heavy_tail to False.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    x = x[np.isfinite(x) & (x > 0)]
+    x = s[np.searchsorted(s, 0.0, "right"):np.searchsorted(s, np.inf)]
     n = len(x)
     kt = int(n * top_fraction)
     if kt < HILL_MIN_TAIL:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from duobath import oscillator as osc
 from duobath import reduced as rd
 from duobath import simulate as sim
-from duobath.cli import main
+from duobath.cli import CCDF_POINTS, _ccdf_rows, main
 from duobath.config import DOMAINS, SCHEMAS, ConfigError, parse_config_text
 
 
@@ -446,6 +447,35 @@ class TestArtifacts:
                 "p0^2/2 + |q0|^(2k)/(2k); the phi correction exists for "
                 "1 < k <= 2 only\n")
         assert err == (note if noted else "")
+
+    def test_ccdf_keeps_inf_and_drops_nan_and_non_positive_values(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.exponential(size=5000), [np.inf] * 3,
+                            [np.nan] * 4, [0.0, -0.0, -np.inf, -2.0]])
+        x = rng.permutation(x)
+        s = np.sort(x)
+        s = s[s > 0]
+        idx = np.unique(np.geomspace(1, len(s), CCDF_POINTS).astype(int)) - 1
+        want = [[s[i], 1.0 - (i + 1) / len(s)] for i in idx]
+        got = _ccdf_rows(np.sort(x))
+        assert got == want
+        assert got[-1] == [np.inf, 0.0]
+
+    def test_tails_holds_its_pool_once(self, tmp_path):
+        cfg = ("integrator.t_end = 2.0\ntails.burn_in = 0.2\n"
+               "tails.thin_stride = 1\n")
+        assert run(tmp_path / "warm", "tails", cfg)[0] == 0   # imports
+        pool_bytes = 512 * 320 * 8    # paths x kept snapshots of 400 steps
+        tracemalloc.start()
+        try:
+            code, out = run(tmp_path / "traced", "tails", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["n_samples"] * 8 == pool_bytes
+        assert peak <= 1.5 * pool_bytes
 
     def test_reduced_reports(self, tmp_path):
         cfg = ("reduced.eta = 3.0\nreduced.sigma = -1.0\n"

@@ -136,7 +136,7 @@ PINNED = {
         "manifest.json":
             "1e49aa53a21b88fc0d289448ce6e38033d24a94f4f92970100782ad2da399e44",
         "report.json":
-            "97fab30850772791ea293a996db54e573f0f7ebe83478744c3184513e55b7522",
+            "f6cb7d4bf4a0bf2fa836f4396da69f9eba946aa4203407e5bffb08479b37dc1e",
     },
 }
 
@@ -168,3 +168,14 @@ def test_outputs_are_pinned(command, tmp_path, capsys):
     report = out / "report.json"
     if command in PRINTS_REPORT:
         assert capsys.readouterr().out == report.read_text()
+
+
+def test_verify_reports_the_level_set_size(tmp_path):
+    # verify.n = 1000 is below the two-function floor of 2000 states
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY["verify"])
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--seed", "5"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["samples_per_level_set"] == 2000

@@ -18,7 +18,8 @@ from duobath.linear import build_gram, default_gamma_tilde
 from duobath.model import (ModelParams, State4, hamiltonian, drift_and_noise,
                            generator_of_jet, jet_const, jet_coord,
                            jet_hamiltonian, quintic_bridge)
-from duobath.presets import PRESET_NAMES, get_preset, run_preset
+from duobath.presets import (PRESET_NAMES, get_preset, run_preset,
+                             wonham_samples)
 
 P2 = ModelParams(alpha=1.0, gamma=1.0, t_cold=1.0, t_hot=0.3, k=2.0)
 P15 = ModelParams(alpha=1, gamma=1, t_cold=1, t_hot=1, k=1.5)
@@ -569,6 +570,11 @@ class TestPresets:
 
     def test_every_preset_is_pinned(self):
         assert sorted(PRESET_NAMES) == sorted(self.PINNED)
+
+    @pytest.mark.parametrize("n, states", [(1000, 2000), (3999, 2000),
+                                           (10000, 5000)])
+    def test_wonham_samples(self, n, states):
+        assert wonham_samples(n) == states
 
     def test_sabotaged_control_differs_only_in_family(self):
         base = get_preset("negative-k2")

@@ -824,6 +824,15 @@ class TestHill:
         with pytest.raises(ValueError):
             sim.hill_estimator(np.ones(500) + np.arange(500), 0.01)
 
+    def test_non_finite_and_non_positive_values_are_dropped(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(size=20_000) ** (-1 / 1.5)
+        junk = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, -1e300, np.nan,
+                np.inf, 0.0]
+        mixed = rng.permutation(np.concatenate([x, junk, -x[:100]]))
+        assert (sim.hill_estimator(mixed, 0.05)
+                == sim.hill_estimator(x, 0.05))   # bit for bit, field by field
+
     @pytest.mark.parametrize("top_fraction", [1.0, 1.5])
     def test_no_threshold_sample_rejected(self, top_fraction):
         # the threshold is the largest sample below the tail; a tail of the
