@@ -42,24 +42,28 @@ TOP_FRACTION = 0.01
 
 def run(burn_in, dt, args):
     """Hill result and (halved, clipped) path-step shares of one run."""
-    cfg = sim.IntegratorConfig(dt=dt, t_end=0.0, record_stride=10 ** 9,
-                               substep_cap=50.0)
+    cfg = sim.IntegratorConfig(dt=dt, t_end=0.0, substep_cap=50.0)
     burn, gap = sim.steps_in(burn_in, dt), sim.steps_in(args.gap, dt)
     kept = range(burn + gap, burn + args.snapshots * gap + 1, gap)
     total = kept[-1]
-    h_of = sim.obs_energy(PARAMS)
     clip_at = cfg.substep_cap * 2.0 ** cfg.max_halvings
     halved = clipped = 0
-    chunks = []
-    for i, s in sim.run_paths(X0, args.paths, SEED, total, cfg, PARAMS):
-        if i < total:    # the state the next step starts from
-            f0, f1 = forces(s.q0, s.q1, PARAMS)
-            mag = np.maximum(np.abs(f0), np.abs(f1))
-            halved += int(np.count_nonzero(mag > cfg.substep_cap))
-            clipped += int(np.count_nonzero(mag > clip_at))
-        if i in kept:
-            chunks.append(np.asarray(h_of(s)))
-    hill = sim.hill_estimator(np.concatenate(chunks), TOP_FRACTION)
+
+    def counted(run):
+        nonlocal halved, clipped
+        for i, s in run:
+            if i < total:    # the state the next step starts from
+                f0, f1 = forces(s.q0, s.q1, PARAMS)
+                mag = np.maximum(np.abs(f0), np.abs(f1))
+                halved += int(np.count_nonzero(mag > cfg.substep_cap))
+                clipped += int(np.count_nonzero(mag > clip_at))
+            yield i, s
+
+    pool = sim.pool_snapshots(
+        counted(sim.run_paths(X0, args.paths, SEED, total, cfg, PARAMS)),
+        kept, sim.obs_energy(PARAMS))[0].ravel()
+    pool.sort()
+    hill = sim.hill_sorted(pool, TOP_FRACTION)
     steps = args.paths * total
     return hill, halved / steps, clipped / steps
 

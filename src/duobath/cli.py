@@ -39,12 +39,16 @@ def _write_csv(path, header, rows):
 
 
 def _prepare(args, command):
+    if args.preset is not None and command != "verify":
+        raise ConfigError(f"--preset is an option of verify, not of {command}")
     text = ""
     if args.config == "-":
         text = sys.stdin.read()
     elif args.config:
         text = Path(args.config).read_text()
     cfg = parse_config_text(text, command)
+    if args.preset is not None:
+        cfg["verify.preset"] = args.preset
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
@@ -154,14 +158,9 @@ def cmd_tails(args) -> int:
         raise ConfigError(f"tails.top_fraction = {top} keeps {n_tail} of the "
                           f"{count} pooled energies; the Hill estimate needs "
                           f"at least {sim.HILL_MIN_TAIL} and fewer than all")
-    h_of = sim.obs_energy(p)
-
-    # burn in, then pool H over paths x thinned snapshots, one row each
-    pool = np.empty(count)
-    rows = pool.reshape(len(kept), n)
-    for i, s in sim.run_paths(x0, n, seed, n_steps, icfg, p):
-        if i in kept:
-            rows[kept.index(i)] = h_of(s)
+    # burn in, then pool H at the thinned snapshots
+    pool = sim.pool_snapshots(sim.run_paths(x0, n, seed, n_steps, icfg, p),
+                              kept, sim.obs_energy(p))[0].ravel()
     pool.sort()     # the one copy of the pool, read by Hill and the CCDF
     hill = sim.hill_sorted(pool, top)
     report = {"hill_index": hill.index, "stderr": hill.stderr,
@@ -230,7 +229,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, out, seed = _prepare(args, "verify")
-    name = args.preset or cfg["verify.preset"]
+    name = cfg["verify.preset"]
     if name not in pre.PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{', '.join(pre.PRESET_NAMES)}")

@@ -49,8 +49,10 @@ MODEL_SCHEMA = {
     "model.smoothing": ModelParams.smoothing,
 }
 
+# record_stride is read by simulate only, the one command recording a series
 INTEGRATOR_SCHEMA = {f"integrator.{f.name}": f.default
-                     for f in fields(IntegratorConfig)}
+                     for f in fields(IntegratorConfig)
+                     if f.name != "record_stride"}
 
 ENSEMBLE_SCHEMA = {
     "ensemble.n_paths": 512,
@@ -66,6 +68,7 @@ SCHEMAS: dict[str, dict[str, object]] = {
     },
     "simulate": {
         **MODEL_SCHEMA, **INTEGRATOR_SCHEMA, **ENSEMBLE_SCHEMA,
+        "integrator.record_stride": IntegratorConfig.record_stride,
         "observables.names": "H,p0_sq,p1_sq",
         "samples.dump": False,
     },
@@ -153,9 +156,11 @@ def check_domains(cfg: dict) -> None:
 
 
 def from_section(cls, section: str, cfg: dict):
-    """The dataclass cls built from the keys `section.<field>` of cfg."""
+    """The dataclass cls built from the keys `section.<field>` of cfg; a
+    field with no key keeps its default."""
     try:
-        return cls(**{f.name: cfg[f"{section}.{f.name}"] for f in fields(cls)})
+        return cls(**{f.name: cfg[key] for f in fields(cls)
+                      if (key := f"{section}.{f.name}") in cfg})
     except ValueError as e:
         raise ConfigError(str(e))
 

@@ -27,8 +27,7 @@ class VerifyPreset:
     family: Callable          # a drift-family builder of duobath.lyapunov
     parameters: Dict[str, float]
     shell: ly.ShellSpec
-    kind: str = "sign"           # sign | wonham
-    predicate: Optional[ly.Predicate] = None   # read by kind sign only
+    predicate: Optional[ly.Predicate] = None   # None: two-function criterion
 
 
 def _k2_params(t_hot: float) -> ModelParams:
@@ -49,8 +48,7 @@ PRESETS = {
         params=_k2_params(2.0 * c_hat()),
         family=ly.w1_nonexist,
         parameters={"theta": 0.08, "delta": 0.15, "zeta": 0.05, "E": 1e4},
-        shell=ly.ShellSpec(r0=4e5, max_doublings=8),
-        kind="wonham"),
+        shell=ly.ShellSpec(r0=4e5, max_doublings=8)),
     # control with W1 = H: must fail the drift hypothesis (L H flips with p0)
     "negative-k2-sabotaged": lambda: replace(
         PRESETS["negative-k2"](), family=ly.energy, parameters={}),
@@ -95,18 +93,18 @@ def get_preset(name: str) -> VerifyPreset:
 
 
 def wonham_samples(n: int) -> int:
-    """States a level set of a kind 'wonham' preset is checked on, for the
+    """States a level set of a two-function preset is checked on, for the
     n states a shell of a sign preset gets."""
     return max(2000, n // 2)
 
 
 def run_preset(name: str, n: int = 10_000, seed: int = 0):
-    """Execute a preset; returns a VerificationReport for kind 'sign' and a
-    WonhamReport (at wonham_samples(n) states a level set) for kind
-    'wonham'."""
+    """Execute a preset; returns a VerificationReport for a sign preset (one
+    with a predicate) and a WonhamReport (at wonham_samples(n) states a level
+    set) for a two-function preset."""
     p = get_preset(name)
     form = p.family(p.params, **p.parameters)
-    if p.kind == "sign":
-        return ly.verify_sign(form, p.predicate, p.shell, n, seed, p.params)
-    return ly.wonham_report(form, p.params, p.shell, n=wonham_samples(n),
-                            seed=seed)
+    if p.predicate is None:
+        return ly.wonham_report(form, p.params, p.shell, n=wonham_samples(n),
+                                seed=seed)
+    return ly.verify_sign(form, p.predicate, p.shell, n, seed, p.params)

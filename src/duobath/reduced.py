@@ -17,7 +17,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from .model import ModelParams
-from .simulate import NoiseStream, check_finite, steps_in
+from .simulate import NoiseStream, check_finite, pool_snapshots, steps_in
 
 ISCLOSE_TOL = 1e-12   # relative tolerance of the regime-boundary tests
 
@@ -197,7 +197,8 @@ def sample_stationary(rp: ReducedParams, dt: float, burn_in: float,
                       n_paths: int, n_snapshots: int, snapshot_gap: float,
                       seed: int) -> np.ndarray:
     """Pooled stationary samples: burn in, then collect the ensemble every
-    snapshot_gap time units, which must be at least one step of dt.
+    snapshot_gap time units, which must be at least one step of dt; the
+    raveled pool of simulate.pool_snapshots with f the identity.
 
     Heavy-tail regimes (sigma = -1) fill the tail diffusively, so the burn-in
     must cover the square of the largest X the estimate probes; a flat 200
@@ -209,11 +210,8 @@ def sample_stationary(rp: ReducedParams, dt: float, burn_in: float,
     if gap < 1:
         raise ValueError(f"snapshot_gap = {snapshot_gap} is no step of dt")
     kept = range(burn + gap, burn + n_snapshots * gap + 1, gap)
-    pool = np.empty((n_snapshots, n_paths))
-    for i, x in run_reduced(rp, dt, kept[-1], n_paths, seed):
-        if i in kept:
-            pool[kept.index(i)] = x
-    return pool.ravel()
+    return pool_snapshots(run_reduced(rp, dt, kept[-1], n_paths, seed), kept,
+                          lambda x: x)[0].ravel()
 
 
 # ---------------------------------------------------------------------------

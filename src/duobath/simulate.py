@@ -399,6 +399,29 @@ def check_finite(t: float, *coords: np.ndarray) -> None:
                                f"path {path}", time=t, path=path)
 
 
+def pool_snapshots(run, kept, f):
+    """(pool, last): f of a run's states at the steps in kept, in one array.
+
+    run yields (steps_done, state), as run_paths and run_reduced do, and is
+    run to its end; last is the last state it yielded.  kept is a non-empty
+    ascending range or list of steps.  pool, a float array allocated at the
+    first kept state, has pool[j] = f(state at step kept[j]): with f giving
+    one value per path, row j is snapshot j and column c path c, so
+    pool.ravel()[j * n_paths + c] is path c at step kept[j].  Raises
+    ValueError when the run ends before the last kept step."""
+    pool, j = None, 0
+    for i, s in run:
+        if j < len(kept) and i == kept[j]:
+            row = f(s)
+            if pool is None:
+                pool = np.empty((len(kept), *np.shape(row)))
+            pool[j] = row
+            j += 1
+    if j < len(kept) or pool is None:
+        raise ValueError(f"the run yielded {j} of its {len(kept)} kept steps")
+    return pool, s
+
+
 # observables -----------------------------------------------------------------
 
 def obs_energy(params):
@@ -450,17 +473,13 @@ def simulate_ensemble(x0: State4, cfg: IntegratorConfig, params: ModelParams,
     """Evolve n_paths copies of x0 and record observable statistics every
     record_stride steps and at the end."""
     n_steps = steps_in(cfg.t_end, cfg.dt)
-    rec_t = []
-    rec = {name: [] for name in observables}
-    for i, s in run_paths(x0, n_paths, seed, n_steps, cfg, params):
-        if i % cfg.record_stride == 0 or i == n_steps:
-            rec_t.append(i * cfg.dt)
-            for name, f in observables.items():
-                rec[name].append(np.asarray(f(s), dtype=float))
-
+    kept = [*range(0, n_steps, cfg.record_stride), n_steps]
+    pool, final = pool_snapshots(
+        run_paths(x0, n_paths, seed, n_steps, cfg, params), kept,
+        lambda s: [f(s) for f in observables.values()])
     stats = {}
-    for name, rows in rec.items():
-        arr = np.stack(rows)  # (n_times, n_paths)
+    for name, arr in zip(observables, pool.swapaxes(0, 1)):
+        # arr is (n_times, n_paths)
         qs = np.quantile(arr, list(QUANTILES.values()), axis=1)
         npaths = arr.shape[1]
         sem = (arr.std(axis=1, ddof=1) / math.sqrt(npaths) if npaths > 1
@@ -470,7 +489,8 @@ def simulate_ensemble(x0: State4, cfg: IntegratorConfig, params: ModelParams,
             **dict(zip(QUANTILES, qs)),
             "sem": sem,
         }
-    return EnsembleSeries(times=np.asarray(rec_t), stats=stats, final=s)
+    return EnsembleSeries(times=np.asarray(kept) * cfg.dt, stats=stats,
+                          final=final)
 
 
 # tail index ------------------------------------------------------------------

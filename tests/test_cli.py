@@ -66,6 +66,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="integrator.record_stride"):
             parse_config_text("integrator.record_stride = 2.5", "simulate")
 
+    @pytest.mark.parametrize("command", ["tails", "convergence"])
+    def test_record_stride_is_unknown_without_a_series(self, command):
+        with pytest.raises(ConfigError, match="unknown key 'integrator.rec"):
+            parse_config_text("integrator.record_stride = 7", command)
+
     def test_every_domain_bounds_a_schema_key_and_holds_its_default(self):
         # a misspelt key would never be checked, and a default outside its
         # domain would break "defaults are complete"
@@ -180,6 +185,22 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("configuration error:") and "'bogus'" in err
         assert not (out / "report.json").exists()
+
+    def test_preset_flag_is_echoed_in_the_manifest(self, tmp_path):
+        code, out = run(tmp_path, "verify", "verify.n = 1000\n",
+                        extra=["--preset", "smallk-k04"])
+        man, rep = (json.loads((out / f).read_text())
+                    for f in ("manifest.json", "report.json"))
+        assert code == 0
+        assert man["config"]["verify.preset"] == rep["preset"] == "smallk-k04"
+
+    @pytest.mark.parametrize("command", ["constants", "tails", "reduced"])
+    def test_preset_flag_of_another_command_is_exit_1(self, tmp_path, capsys,
+                                                      command):
+        code, out = run(tmp_path, command, extra=["--preset", "bogus"])
+        assert (code, capsys.readouterr().err) == (1, "configuration error: "
+            f"--preset is an option of verify, not of {command}\n")
+        assert not out.exists()
 
     def test_unknown_reduced_mode_is_exit_1(self, tmp_path, capsys):
         code, out = run(tmp_path, "reduced", "reduced.mode = densty\n")

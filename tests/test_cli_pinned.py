@@ -21,8 +21,7 @@ MODEL = {
 CHAIN = {
     **MODEL,
     "integrator.dt": 0.005, "integrator.t_end": 10.0,
-    "integrator.record_stride": 10, "integrator.substep_cap": 100.0,
-    "integrator.max_halvings": 10,
+    "integrator.substep_cap": 100.0, "integrator.max_halvings": 10,
     "ensemble.n_paths": 512, "ensemble.x0": [1.0, -1.0, 0.5, 0.5],
 }
 DEFAULTS = {
@@ -33,8 +32,8 @@ DEFAULTS = {
                           3.0],
         "grid.t_hot_values": [],
     },
-    "simulate": {**CHAIN, "observables.names": "H,p0_sq,p1_sq",
-                 "samples.dump": False},
+    "simulate": {**CHAIN, "integrator.record_stride": 10,
+                 "observables.names": "H,p0_sq,p1_sq", "samples.dump": False},
     "tails": {**CHAIN, "tails.top_fraction": 0.01, "tails.burn_in": 0.5,
               "tails.thin_stride": 5},
     "convergence": {**CHAIN, "convergence.binning": 4,
@@ -94,7 +93,7 @@ PINNED = {
     },
     "convergence": {
         "manifest.json":
-            "1873e6da2179375deb1d6b43958a6061e9f878b2ff1caea699900e923f7da5ab",
+            "2aa150c15848a8843641e44cd1da169450ffb77c1fe6d510b9a8bb2f43cee682",
         "report.json":
             "28e3445acc21f1d996ee6120f004ac1dc3591f0f2313eaf209dcaaf7e2993fb3",
         "tv_series.csv":
@@ -128,7 +127,7 @@ PINNED = {
         "ccdf.csv":
             "7e22670349735ff414344cc7467f2aac8d80ff461e48b8a0917c1a7238ab722a",
         "manifest.json":
-            "164d11693c1f4a94ee8c995c55f7a5e894dfe09b6f193c85c8bc88fc95eaf305",
+            "55b7b564b22074dfe2363c3089062769368606bb2c57a6e77c9ef345d59ea745",
         "report.json":
             "3b738649822b5c827e99c507e960150b81d9197c446f72f0226ad3969e909545",
     },

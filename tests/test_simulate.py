@@ -280,6 +280,26 @@ class TestRunPaths:
             assert np.array_equal(s.as_array(), a)
 
 
+class TestPoolSnapshots:
+    # a range, and a list whose last step is off its stride of 5
+    @pytest.mark.parametrize("kept", [range(3, 31, 4), [0, 5, 10, 15, 27]])
+    def test_entry_j_n_plus_c_is_path_c_at_step_j(self, kept):
+        n, h = 16, sim.obs_energy(STIFF)
+        hand = {i: s for i, s in sim.run_paths(X0, n, 3, 30, STIFF_CFG, STIFF)}
+        pool, last = sim.pool_snapshots(
+            sim.run_paths(X0, n, 3, 30, STIFF_CFG, STIFF), kept, h)
+        assert pool.shape == (len(kept), n)
+        for j, i in enumerate(kept):
+            for c in range(n):
+                assert pool.ravel()[j * n + c] == h(hand[i])[c]
+        assert np.array_equal(last.as_array(), hand[30].as_array())
+
+    def test_a_kept_step_past_the_run_is_an_error(self):
+        with pytest.raises(ValueError, match="yielded 2 of its 3 kept steps"):
+            sim.pool_snapshots(sim.run_paths(X0, 4, 0, 5, STIFF_CFG, STIFF),
+                               [0, 5, 6], sim.obs_energy(STIFF))
+
+
 class TestHalvingLevels:
     CFG = sim.IntegratorConfig(substep_cap=50.0, max_halvings=10)
 

@@ -5,6 +5,7 @@ unseen."""
 import argparse
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,19 @@ def _load():
 
 
 def test_tiny_run_gives_a_finite_hill_index_and_shares():
-    hill, halved, clipped = _load().run(
-        0.05, 0.005, argparse.Namespace(paths=1024, snapshots=100, gap=0.005))
+    module, args = _load(), argparse.Namespace(paths=1024, snapshots=100,
+                                               gap=0.005)
+    module.run(0.05, 0.005, args)    # imports and first-call allocations
+    tracemalloc.start()
+    try:
+        hill, halved, clipped = module.run(0.05, 0.005, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert math.isfinite(hill.index)
     assert 0.0 <= halved <= 1.0 and 0.0 <= clipped <= 1.0
+    # the energies are pooled once: 1024 paths x 100 snapshots x 8 bytes
+    assert peak <= 1.5 * 1024 * 100 * 8
 
 
 def test_help_exits_zero(capsys):
